@@ -28,29 +28,31 @@ from .coprime import (
     verify_nonexistence_instance,
 )
 from .elemfactor import (
+    DelayBezout,
     DelayTrace,
     LambdaSet,
     QuadraticTrace,
+    ReciprocalTrace,
     SearchTrace,
     Which,
     WitnessPair,
     construct_witnesses_delay,
     construct_witnesses_quadratic,
+    delay_bezout,
     lambda_member,
-    search_witnesses_delay,
+    reciprocal_witness,
     search_witnesses_quadratic,
+    witness_candidates,
 )
 from .exact import (
     BigRat,
     Poly,
     QuadElem,
-    RatMatrix,
     ext_gcd_int,
     ext_gcd_poly,
     poly_divmod,
     poly_gcd,
     quad_norm,
-    solve_linear,
 )
 from .rings import (
     RingDescriptor,

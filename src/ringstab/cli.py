@@ -5,8 +5,8 @@ descriptions live in JSON files (see README); every report is available both
 human-readable and as deterministic JSON (--json) in which all rational
 values appear as exact strings.
 
-Exit codes: 0 verified, 2 parse/usage error, 3 unverified or unknown within
-the configured bounds, 4 synthesis failure.
+Exit codes: 0 verified, 2 parse/usage error, 3 unverified or unknown,
+4 synthesis failure.
 """
 
 from __future__ import annotations
@@ -14,14 +14,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from fractions import Fraction
 from typing import Optional
 
 from . import coprime as cp
 from .closedloop import feedback_matrix
-from .elemfactor import DelayTrace, QuadraticTrace, SearchTrace, WitnessPair
-from .exact import Poly, QuadElem
+from .elemfactor import (
+    DEFAULT_SEARCH_BOX,
+    DelayTrace,
+    QuadraticTrace,
+    ReciprocalTrace,
+    SearchTrace,
+    WitnessPair,
+    witness_candidates,
+)
+from .exact import Poly, QuadElem, poly_gcd
 from .rings import (
     RingDescriptor,
     RingElement,
@@ -57,13 +64,13 @@ def _parse_elem_value(desc: RingDescriptor, obj, where: str):
             raise PlantFileError(f"{where}: quadratic element needs {{'re': 'p/q', 'im': 'p/q'}}")
         try:
             return QuadElem.of(Fraction(obj["re"]), Fraction(obj.get("im", "0")), desc.m)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise PlantFileError(f"{where}: bad rational literal ({exc})")
-    if not isinstance(obj, dict) or "coeffs" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
         raise PlantFileError(f"{where}: delay element needs {{'coeffs': ['p/q', ...]}} ascending")
     try:
         return Poly.from_list([Fraction(c) for c in obj["coeffs"]])
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise PlantFileError(f"{where}: bad rational literal ({exc})")
 
 
@@ -98,6 +105,8 @@ class PlantFile:
         if not isinstance(doc, dict) or "ring" not in doc or "plant" not in doc:
             raise PlantFileError(f"{where}: document needs 'ring' and 'plant' sections")
         ring = doc["ring"]
+        if not isinstance(ring, dict):
+            raise PlantFileError(f"{where}: ring must be an object")
         kind = ring.get("kind")
         try:
             if kind == "quadratic":
@@ -109,6 +118,8 @@ class PlantFile:
         except (KeyError, TypeError, ValueError) as exc:
             raise PlantFileError(f"{where}: bad ring descriptor ({exc})")
         plant_obj = doc["plant"]
+        if not isinstance(plant_obj, dict):
+            raise PlantFileError(f"{where}: plant must be an object with 'num' and 'den'")
         num = _parse_elem_value(desc, plant_obj.get("num"), f"{where}: plant.num")
         den = _parse_elem_value(desc, plant_obj.get("den"), f"{where}: plant.den")
         try:
@@ -117,6 +128,8 @@ class PlantFile:
             raise PlantFileError(f"{where}: {exc}")
         controller = None
         if "controller" in doc:
+            if not isinstance(doc["controller"], dict):
+                raise PlantFileError(f"{where}: controller must be an object with 'num' and 'den'")
             cnum = _parse_elem_value(desc, doc["controller"].get("num"), f"{where}: controller.num")
             cden = _parse_elem_value(desc, doc["controller"].get("den"), f"{where}: controller.den")
             try:
@@ -242,6 +255,8 @@ def _trace_json(trace) -> dict:
             "cof_den0": str(trace.cof_den0),
             "cof_den1": str(trace.cof_den1),
         }
+    if isinstance(trace, ReciprocalTrace):
+        return {"kind": "reciprocal", "q": str(trace.inverse)}
     if isinstance(trace, SearchTrace):
         return {"kind": "search", "method": trace.method, "bound": trace.bound}
     return {"kind": "unknown"}
@@ -267,6 +282,8 @@ def _cf_json(v: cp.CFVerdict) -> dict:
         out.update(n=str(v.n), d=str(v.d), x=str(v.x), y=str(v.y))
     elif v.kind == cp.CFKind.NOT_EXISTS:
         out["certificate_ideal"] = _ideal_json(v.ideal)
+    elif v.reason is not None:
+        out["reason"] = v.reason
     else:
         out["bound"] = v.bound
     return out
@@ -279,7 +296,6 @@ class Report:
         self.data: dict = {"command": command, "argv": argv}
         self.lines: list[str] = []
         self.status = EXIT_OK
-        self._t0 = time.perf_counter()
 
     def put(self, key: str, value, line: Optional[str] = None) -> None:
         self.data[key] = value
@@ -295,7 +311,6 @@ class Report:
             EXIT_UNKNOWN: "unknown",
             EXIT_SYNTHESIS: "synthesis_failed",
         }.get(self.status, "error")
-        self.data["elapsed_ms"] = int((time.perf_counter() - self._t0) * 1000)
         if as_json:
             return json.dumps(self.data, indent=2)
         return "\n".join(self.lines + [f"status: {self.data['status']}"])
@@ -305,19 +320,30 @@ class Report:
 # Commands
 # ---------------------------------------------------------------------------
 
+def _count(args, name: str, config: dict, default: int) -> int:
+    """A positive integer from --<name>, else from config.<name>, else the default."""
+    value, where = getattr(args, name, None), "--" + name.replace("_", "-")
+    if value is None:
+        value, where = config.get(name, default), f"config.{name}"
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise PlantFileError(f"{where} must be a positive integer, got {value!r}")
+    return value
+
+
 def _config_from(pf: PlantFile, args) -> SynthesisConfig:
-    cfg = dict(pf.config)
-    omega_max = args.omega_max if getattr(args, "omega_max", None) else cfg.get("omega_max", 32)
-    search_box = getattr(args, "box", None) or cfg.get("box", 128)
-    search_degree = getattr(args, "bound", None) or cfg.get("bound", cp.DEFAULT_DEGREE_BOUND)
-    r1 = cfg.get("r1")
-    r2 = cfg.get("r2")
-    if getattr(args, "r1", None):
-        r1 = parse_ring_element(pf.descriptor, args.r1)
-    if getattr(args, "r2", None):
-        r2 = parse_ring_element(pf.descriptor, args.r2)
+    cfg = pf.config
+    r = {key: cfg.get(key) for key in ("r1", "r2")}
+    for key in r:
+        text = getattr(args, key, None)
+        if text is not None:
+            try:
+                r[key] = parse_ring_element(pf.descriptor, text)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise PlantFileError(f"--{key}: {exc}")
     return SynthesisConfig(
-        omega_max=omega_max, r1=r1, r2=r2, search_box=search_box, search_degree=search_degree
+        omega_max=_count(args, "omega_max", cfg, SynthesisConfig.omega_max),
+        search_box=_count(args, "box", cfg, DEFAULT_SEARCH_BOX),
+        **r,
     )
 
 
@@ -341,8 +367,6 @@ def cmd_analyze(args, rep: Report) -> None:
         return
     if desc.is_delay:
         n, d = causal_representation(p)
-        from .exact import poly_gcd
-
         g = poly_gcd(n.value, d.value)
         g = g.scale(1 / g(0))
         rep.put(
@@ -351,9 +375,7 @@ def cmd_analyze(args, rep: Report) -> None:
             f"A-representation: n = {n}, d = {d}, gcd = {_poly_str(g)}",
         )
     cfg = _config_from(pf, args)
-    from .synthesis import _witness_candidates
-
-    witness = next(_witness_candidates(p, cfg), None)
+    witness = next(witness_candidates(p, box=cfg.search_box), None)
     if witness is None:
         rep.put("stabilizable", "unknown", "stabilizable: unknown (witness search exhausted)")
         rep.status = EXIT_UNKNOWN
@@ -392,7 +414,7 @@ def cmd_synthesize(args, rep: Report) -> None:
             [str(e) for e in result.condition_ii_products],
             "condition (ii) products all lie in A",
         )
-    h = feedback_matrix(p, result.controller)
+    h = result.closed_loop
     rep.put(
         "closed_loop",
         {
@@ -401,7 +423,6 @@ def cmd_synthesize(args, rep: Report) -> None:
         },
         f"closed loop stable: {h.stable}",
     )
-    assert h.stable
 
 
 def cmd_verify(args, rep: Report) -> None:
@@ -446,19 +467,21 @@ def cmd_coprime_factorization(args, rep: Report) -> None:
         raise PlantFileError("coprime factorization of the zero plant is trivial; give a nonzero plant")
     rep.put("ring", str(pf.descriptor), f"ring: {pf.descriptor}")
     rep.put("plant", _tf_json(p), f"plant: {p}")
-    bound = args.bound or pf.config.get("bound", cp.DEFAULT_DEGREE_BOUND)
-    box = getattr(args, "box", None) or pf.config.get("box", cp.DEFAULT_COEFF_BOX)
+    box = _count(args, "box", pf.config, cp.DEFAULT_COEFF_BOX)
     decisive = pf.descriptor.is_quadratic and pf.descriptor.is_maximal_order
     rep.put("decisive", decisive)
     if not decisive:
         rep.say("note: ring is not a maximal-order quadratic ring; only Exists/Unknown can be certified")
-    verdict = cp.cf_exists(p, bound=bound, box=box)
+    verdict = cp.cf_exists(p, box=box)
     rep.put("cf", _cf_json(verdict))
     if verdict.kind == cp.CFKind.EXISTS:
         rep.say(f"coprime factorization exists: p = ({verdict.n})/({verdict.d})")
         rep.say(f"  Bezout: ({verdict.x})*n + ({verdict.y})*d = 1")
     elif verdict.kind == cp.CFKind.NOT_EXISTS:
         rep.say(f"no coprime factorization: certificate ideal {verdict.ideal} is non-principal")
+    elif verdict.reason is not None:
+        rep.say(f"unknown: {verdict.reason}")
+        rep.status = EXIT_UNKNOWN
     else:
         rep.say(f"unknown within bound {verdict.bound}: no witness found")
         rep.status = EXIT_UNKNOWN
@@ -495,7 +518,7 @@ def cmd_family(args, rep: Report) -> None:
         rep.say(f"  split witness: lambda1 = {report.lambda1}, lambda2 = {report.lambda2}")
     plant = report.plant
     rep.put("plant", _tf_json(plant), f"plant: {plant}")
-    cfg = SynthesisConfig(omega_max=args.omega_max or 32)
+    cfg = SynthesisConfig(omega_max=_count(args, "omega_max", {}, SynthesisConfig.omega_max))
     try:
         result = synthesize(plant, cfg)
     except SynthesisError as exc:
@@ -503,10 +526,9 @@ def cmd_family(args, rep: Report) -> None:
         rep.status = EXIT_SYNTHESIS
         return
     rep.put("controller", _tf_json(result.controller), f"controller: {result.controller}")
-    h = feedback_matrix(plant, result.controller)
-    rep.put("stable", h.stable, f"closed loop stable: {h.stable}")
-    assert h.stable
-    if report.cond_ii == cp.Verdict.UNKNOWN or report.cond_iii == cp.Verdict.UNKNOWN:
+    stable = result.closed_loop.stable
+    rep.put("stable", stable, f"closed loop stable: {stable}")
+    if report.cond_ii == cp.Verdict.UNKNOWN:
         rep.status = EXIT_UNKNOWN
 
 
@@ -526,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="causality, canonical form, factor witnesses")
     common(sp)
-    sp.add_argument("--bound", type=int, help="degree bound for delay-ring searches")
     sp.add_argument("--box", type=int, help="coefficient box for quadratic searches")
     sp.add_argument("--omega-max", type=int, dest="omega_max")
     sp.set_defaults(func=cmd_analyze)
@@ -536,7 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--omega-max", type=int, dest="omega_max")
     sp.add_argument("--r1", help="free parameter r1 (ring element literal)")
     sp.add_argument("--r2", help="free parameter r2 (ring element literal)")
-    sp.add_argument("--bound", type=int, help="degree bound for delay-ring searches")
     sp.add_argument("--box", type=int, help="coefficient box for quadratic searches")
     sp.set_defaults(func=cmd_synthesize)
 
@@ -547,7 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("coprime-factorization", help="decide existence of a coprime factorization")
     common(sp)
-    sp.add_argument("--bound", type=int, help="degree bound (delay ring)")
     sp.add_argument("--box", type=int, help="coefficient box (non-maximal quadratic rings)")
     sp.set_defaults(func=cmd_coprime_factorization)
 

@@ -8,8 +8,9 @@ coprime factorization is certified by a non-principal numerator or denominator
 ideal, which is a valid certificate exactly when Z[sqrt(m)*i] is the maximal
 order (square-free m, m = 1 or 2 mod 4).
 
-The delay ring only gets a bounded semi-decision: exact linear solving for
-Bezout cofactors of bounded degree, answering Witness or Unknown.
+The delay ring A = Q[x^2, x^3] is decided in Q[x]: elements of A are
+comaximal in A iff their gcd over Q[x] is 1 (``elemfactor.delay_bezout``
+supplies the cofactors in A), and the nonconstant gcd certifies NotCoprime.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import QuadElem, RatMatrix, ext_gcd_int, is_square, solve_linear
+from .elemfactor import box_spiral, delay_bezout
+from .exact import Poly, QuadElem, ext_gcd_int, is_square, poly_divides, poly_gcd
 from .rings import (
     RingDescriptor,
     RingElement,
@@ -30,7 +31,6 @@ from .rings import (
     quadratic,
 )
 
-DEFAULT_DEGREE_BOUND = 8
 DEFAULT_COEFF_BOX = 50
 
 
@@ -274,76 +274,39 @@ def ideal_is_principal(ideal: QuadIdeal) -> Optional[QuadElem]:
 # Bezout combinations over A
 # ---------------------------------------------------------------------------
 
-def bezout_combination(
-    desc: RingDescriptor, gens: Sequence[RingElement], degree_bound: int = DEFAULT_DEGREE_BOUND
-) -> Optional[list[RingElement]]:
-    """Coefficients x_i in A with sum x_i * g_i = 1, or None.
+def bezout_combination(desc: RingDescriptor, gens: Sequence[RingElement]) -> Optional[list[RingElement]]:
+    """Coefficients x_i in A with sum x_i * g_i = 1, or None if there are none.
 
-    Exact and complete for quadratic rings (lattice membership of 1); for the
-    delay ring complete only up to the degree bound on the x_i.
+    Exact and complete for both rings: lattice membership of 1 for quadratic
+    rings, a gcd over Q[x] for the delay ring.
     """
-    if desc.is_quadratic:
-        rows = []
-        index = []  # generator index for each row pair
-        for i, g in enumerate(gens):
-            if g.is_zero():
-                continue
-            x, y = int(g.value.re), int(g.value.im)
-            rows.append((x, y))
-            rows.append((-desc.m * y, x))
-            index.append(i)
-        if not rows:
+    if desc.is_delay:
+        bezout = delay_bezout([g.value for g in gens])
+        if bezout is None:
             return None
-        coeffs = _express_in_lattice(rows, (1, 0))
-        if coeffs is None:
-            return None
-        out = [RingElement.quad(desc, 0) for _ in gens]
-        for pos, i in enumerate(index):
-            out[i] = RingElement.quad(desc, coeffs[2 * pos], coeffs[2 * pos + 1])
-        total = RingElement.zero(desc)
-        for x, g in zip(out, gens):
-            total = total + x * g
-        assert total == RingElement.one(desc)
-        return out
-
-    # Delay ring: coefficient k of sum x_i * g_i equals delta_{k,0}; unknowns
-    # are the coefficients of each x_i with degree <= degree_bound and the x^1
-    # coefficient pinned to zero (x_i must lie in A).
-    live = [(i, g.value) for i, g in enumerate(gens) if not g.is_zero()]
-    if not live:
+        return [RingElement(desc, c) for c in bezout.cofactors]
+    rows = []
+    index = []  # generator index for each row pair
+    for i, g in enumerate(gens):
+        if g.is_zero():
+            continue
+        x, y = int(g.value.re), int(g.value.im)
+        rows.append((x, y))
+        rows.append((-desc.m * y, x))
+        index.append(i)
+    if not rows:
         return None
-    positions = []  # (gen index, power)
-    for i, gv in live:
-        for j in range(degree_bound + 1):
-            if j == 1:
-                continue
-            positions.append((i, j))
-    max_deg = degree_bound + max(gv.degree for _, gv in live)
-    matrix_rows = []
-    rhs = []
-    gv_by_index = dict(live)
-    for k in range(max_deg + 1):
-        row = []
-        for i, j in positions:
-            gv = gv_by_index[i]
-            row.append(gv.coeff(k - j) if k >= j else Fraction(0))
-        matrix_rows.append(row)
-        rhs.append(Fraction(1) if k == 0 else Fraction(0))
-    sol = solve_linear(RatMatrix.from_rows(matrix_rows), rhs)
-    if sol is None:
+    coeffs = _express_in_lattice(rows, (1, 0))
+    if coeffs is None:
         return None
-    from .exact import Poly
-
-    coeff_lists: dict[int, list[Fraction]] = {i: [Fraction(0)] * (degree_bound + 1) for i, _ in live}
-    for (i, j), value in zip(positions, sol):
-        coeff_lists[i][j] = value
-    out = [RingElement.zero(desc) for _ in gens]
-    for i, cs in coeff_lists.items():
-        out[i] = RingElement(desc, Poly.from_list(cs))
+    out = [RingElement.quad(desc, 0) for _ in gens]
+    for pos, i in enumerate(index):
+        out[i] = RingElement.quad(desc, coeffs[2 * pos], coeffs[2 * pos + 1])
     total = RingElement.zero(desc)
     for x, g in zip(out, gens):
         total = total + x * g
-    assert total == RingElement.one(desc)
+    if total != RingElement.one(desc):
+        raise ValueError("lattice Bezout combination does not sum to 1")
     return out
 
 
@@ -355,12 +318,15 @@ class CertKind(Enum):
     WITNESS = "witness"
     IDEAL_IS_WHOLE_RING = "ideal_is_whole_ring"
     NOT_COPRIME = "not_coprime"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
 class CoprimeCertificate:
-    """Outcome of a coprimeness decision for a pair (a, b) over A."""
+    """Outcome of a coprimeness decision for a pair (a, b) over A.
+
+    NotCoprime carries the proper ideal (a, b) for quadratic rings and the
+    nonconstant gcd over Q[x] for the delay ring.
+    """
 
     kind: CertKind
     a: RingElement
@@ -368,26 +334,29 @@ class CoprimeCertificate:
     x: Optional[RingElement] = None
     y: Optional[RingElement] = None
     ideal: Optional[QuadIdeal] = None
-    bound: Optional[int] = None
+    common_factor: Optional[Poly] = None
 
     def __post_init__(self):
         if self.kind == CertKind.WITNESS:
             if self.x * self.a + self.y * self.b != RingElement.one(self.a.descriptor):
                 raise ValueError("Bezout witness identity x*a + y*b = 1 fails")
+        if self.common_factor is not None:
+            g = self.common_factor
+            if g.degree < 1 or not (poly_divides(g, self.a.value) and poly_divides(g, self.b.value)):
+                raise ValueError("common factor is constant or does not divide both elements")
 
     @property
     def is_witness(self) -> bool:
         return self.kind == CertKind.WITNESS
 
 
-def are_coprime(
-    a: RingElement, b: RingElement, bound: int = DEFAULT_DEGREE_BOUND
-) -> CoprimeCertificate:
-    """Decide coprimeness of (a, b) over A.
+def are_coprime(a: RingElement, b: RingElement) -> CoprimeCertificate:
+    """Decide coprimeness of (a, b) over A: Witness or NotCoprime.
 
-    Quadratic: decisive via the HNF of the ideal (a, b) with an extracted
-    Bezout witness or the proper ideal as a NotCoprime certificate.  Delay:
-    bounded exact linear solve; Witness or Unknown(bound).
+    Quadratic: the HNF of the ideal (a, b) gives an extracted Bezout witness
+    or the proper ideal as the NotCoprime certificate.  Delay: Bezout
+    cofactors in A, or the gcd over Q[x] (constant term 1 when it has one,
+    else monic) as the NotCoprime certificate.
     """
     if a.descriptor != b.descriptor:
         raise ValueError("mixed ring descriptors")
@@ -398,13 +367,17 @@ def are_coprime(
         ideal = ideal_from_gens(desc.m, [g.value for g in (a, b) if not g.is_zero()])
         if ideal.is_whole_ring():
             combo = bezout_combination(desc, [a, b])
-            assert combo is not None
+            if combo is None:
+                raise ValueError("whole-ring ideal without a Bezout combination")
             return CoprimeCertificate(CertKind.WITNESS, a, b, x=combo[0], y=combo[1])
         return CoprimeCertificate(CertKind.NOT_COPRIME, a, b, ideal=ideal)
-    combo = bezout_combination(desc, [a, b], degree_bound=bound)
+    combo = bezout_combination(desc, [a, b])
     if combo is not None:
         return CoprimeCertificate(CertKind.WITNESS, a, b, x=combo[0], y=combo[1])
-    return CoprimeCertificate(CertKind.UNKNOWN, a, b, bound=bound)
+    common = poly_gcd(a.value, b.value)
+    if common.coeff(0) != 0:
+        common = common.scale(1 / common.coeff(0))
+    return CoprimeCertificate(CertKind.NOT_COPRIME, a, b, common_factor=common)
 
 
 class CFKind(Enum):
@@ -425,6 +398,7 @@ class CFVerdict:
     y: Optional[RingElement] = None
     ideal: Optional[QuadIdeal] = None
     bound: Optional[int] = None
+    reason: Optional[str] = None
 
     def __post_init__(self):
         if self.kind == CFKind.EXISTS:
@@ -437,26 +411,13 @@ class CFVerdict:
                 raise ValueError("CF Bezout identity fails")
 
 
-def _spiral_box(box: int):
-    """Integer pairs (u, v) ordered by Chebyshev shell, lexicographic inside."""
-    for shell in range(box + 1):
-        if shell == 0:
-            yield (0, 0)
-            continue
-        for u in range(-shell, shell + 1):
-            if abs(u) == shell:
-                for v in range(-shell, shell + 1):
-                    yield (u, v)
-            else:
-                yield (u, -shell)
-                yield (u, shell)
+# Delay plants whose reduced num/den leave A have no coprime factorization:
+# a Bezout identity forces every A-representation to be a constant multiple of
+# the reduced pair.  No checker re-verifies that argument yet.
+OUTSIDE_A_REASON = "reduced num/den pair lies outside A; a NotExists verdict is not yet certified"
 
 
-def cf_exists(
-    p: TransferFunction,
-    bound: int = DEFAULT_DEGREE_BOUND,
-    box: int = DEFAULT_COEFF_BOX,
-) -> CFVerdict:
+def cf_exists(p: TransferFunction, box: int = DEFAULT_COEFF_BOX) -> CFVerdict:
     """Decide whether p = n'/d' with n', d' in A and x*n' + y*d' = 1.
 
     Quadratic maximal orders are decisive: with G = (n, d), the quotient
@@ -464,8 +425,9 @@ def cf_exists(
     coprime factorization exists iff both are principal; otherwise the first
     non-principal of (J, I) is the certificate.  Non-maximal quadratic rings
     get a bounded search over denominator representatives (box on the integer
-    components); the delay ring a bounded Bezout search.  Both bounded modes
-    answer Exists or Unknown only.
+    components), answering Exists or Unknown only.  Delay plants answer Exists
+    exactly when the reduced num and den both lie in A, and Unknown (with
+    ``OUTSIDE_A_REASON``) otherwise.
     """
     if p.is_zero():
         raise ValueError("cf_exists is undefined for the zero plant")
@@ -485,17 +447,19 @@ def cf_exists(
                 return CFVerdict(CFKind.NOT_EXISTS, p, ideal=quot_i)
             # unit-correct the numerator generator so that p = n'/d' exactly
             unit = contains(p * TransferFunction.make(desc, gen_j, gen_i))
-            assert unit is not None and unit.value.norm() == 1
+            if unit is None or unit.value.norm() != 1:
+                raise ValueError("quotient-ideal generators do not reproduce the plant up to a unit")
             n_el = RingElement(desc, unit.value * gen_i)
             d_el = RingElement(desc, gen_j)
             cert = are_coprime(n_el, d_el)
-            assert cert.is_witness, "quotient ideals of a maximal order are comaximal"
+            if not cert.is_witness:
+                raise ValueError("quotient ideals of a maximal order must be comaximal")
             return CFVerdict(CFKind.EXISTS, p, n=n_el, d=d_el, x=cert.x, y=cert.y)
         # Non-maximal order: bounded denominator search.  n' = p*d' is
         # integral iff beta divides both components of num*(u+v*w).
         a1, a2 = int(p.num.re), int(p.num.im)
         beta = int(p.den.re)
-        for u, v in _spiral_box(box):
+        for u, v in box_spiral(box):
             if u == 0 and v == 0:
                 continue
             c1 = a1 * u - desc.m * a2 * v
@@ -510,15 +474,17 @@ def cf_exists(
         return CFVerdict(CFKind.UNKNOWN, p, bound=box)
     # Delay ring.  Any polynomial representation of p is (w*num, w*den) over
     # the reduced pair; a Bezout identity forces w constant, so only the
-    # canonical pair (up to scalars) can witness existence.
+    # canonical pair (up to scalars) can witness existence, and it does
+    # whenever it lies in A, being coprime over Q[x].
     num, den = p.num, p.den
-    if num.coeff(1) == 0 and den.coeff(1) == 0:
-        n_el = RingElement(desc, num)
-        d_el = RingElement(desc, den)
-        cert = are_coprime(n_el, d_el, bound=bound)
-        if cert.is_witness:
-            return CFVerdict(CFKind.EXISTS, p, n=n_el, d=d_el, x=cert.x, y=cert.y)
-    return CFVerdict(CFKind.UNKNOWN, p, bound=bound)
+    if num.coeff(1) != 0 or den.coeff(1) != 0:
+        return CFVerdict(CFKind.UNKNOWN, p, reason=OUTSIDE_A_REASON)
+    n_el = RingElement(desc, num)
+    d_el = RingElement(desc, den)
+    cert = are_coprime(n_el, d_el)
+    if not cert.is_witness:
+        raise ValueError("reduced num/den in A must be comaximal in A")
+    return CFVerdict(CFKind.EXISTS, p, n=n_el, d=d_el, x=cert.x, y=cert.y)
 
 
 # ---------------------------------------------------------------------------
@@ -560,11 +526,7 @@ class NonexistenceReport:
         return self.cond_i and self.cond_ii == Verdict.HOLDS and self.cond_iii == Verdict.HOLDS
 
 
-def verify_nonexistence_instance(
-    inst: NonexistenceInstance,
-    bound: int = DEFAULT_DEGREE_BOUND,
-    box: int = DEFAULT_COEFF_BOX,
-) -> NonexistenceReport:
+def verify_nonexistence_instance(inst: NonexistenceInstance, box: int = DEFAULT_COEFF_BOX) -> NonexistenceReport:
     """Check the three instance conditions and return per-condition verdicts.
 
     (i) a*b = a'*b' exactly.  (ii) a/a' is causal and has no coprime
@@ -573,8 +535,9 @@ def verify_nonexistence_instance(
     plant together generate A.  A Bezout witness for the pair (a, b) does it
     directly; failing that, a combination over the quadruple (a, b', b, a') is
     sought, since a, b' always lie in the first factor ideal and b, a' in the
-    second.  The split witness (lambda1, lambda2) with lambda1 + lambda2 = 1
-    is returned and re-verified for membership.
+    second.  Both searches are exact, so (iii) is always decided.  The split
+    witness (lambda1, lambda2) with lambda1 + lambda2 = 1 is returned and
+    re-verified for membership.
     """
     desc = inst.a.descriptor
     if inst.a_prime.is_zero():
@@ -589,7 +552,7 @@ def verify_nonexistence_instance(
             CFKind.EXISTS, plant, n=RingElement.zero(desc), d=one, x=RingElement.zero(desc), y=one
         )
     else:
-        cf = cf_exists(plant, bound=bound, box=box)
+        cf = cf_exists(plant, box=box)
     if not causal or cf.kind == CFKind.EXISTS:
         cond_ii = Verdict.FAILS
     elif cf.kind == CFKind.NOT_EXISTS:
@@ -597,7 +560,7 @@ def verify_nonexistence_instance(
     else:
         cond_ii = Verdict.UNKNOWN
 
-    pair_cert = are_coprime(inst.a, inst.b, bound=bound)
+    pair_cert = are_coprime(inst.a, inst.b)
     lambda1 = lambda2 = None
     via = None
     if pair_cert.is_witness:
@@ -606,24 +569,22 @@ def verify_nonexistence_instance(
         via = "pair"
         cond_iii = Verdict.HOLDS
     else:
-        combo = bezout_combination(
-            desc, [inst.a, inst.b_prime, inst.b, inst.a_prime], degree_bound=bound
-        )
+        combo = bezout_combination(desc, [inst.a, inst.b_prime, inst.b, inst.a_prime])
         if combo is not None:
             lambda1 = combo[0] * inst.a + combo[1] * inst.b_prime
             lambda2 = combo[2] * inst.b + combo[3] * inst.a_prime
             via = "quadruple"
             cond_iii = Verdict.HOLDS
-        elif desc.is_quadratic:
-            cond_iii = Verdict.FAILS  # lattice membership of 1 is decisive
         else:
-            cond_iii = Verdict.UNKNOWN
+            cond_iii = Verdict.FAILS
     if lambda1 is not None:
-        assert lambda1 + lambda2 == RingElement.one(desc)
+        if lambda1 + lambda2 != RingElement.one(desc):
+            raise ValueError("split witness does not sum to 1")
         if not plant.is_zero():
             q1 = contains(lambda1.to_tf() / plant)
             q2 = contains(lambda2.to_tf() * plant)
-            assert q1 is not None and q2 is not None, "split witness fails factor membership"
+            if q1 is None or q2 is None:
+                raise ValueError("split witness fails factor membership")
     return NonexistenceReport(
         instance=inst,
         plant=plant,

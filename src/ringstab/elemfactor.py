@@ -15,15 +15,17 @@ re-verified on construction.  Construction strategies:
   the spiral box search below takes over.
 * quadratic box search: enumerate lam over an origin-centered box and take
   the first lam with lam in L1 and 1 - lam in L2.
-* delay construction: divide out the gcd of the in-ring representation
-  (normalized to constant term 1; the canonical representation keeps its
-  degree at most 1), re-inflate the reduced denominator by a multiplier
-  1 + s*x + c*s^2*x^2 (s the gcd slope, c from a fixed constant sequence)
-  until it is coprime to the numerator, take the minimal-degree Bezout
-  cofactors, and repair their degree-1 coefficients with a degree-1 shift
-  along the Bezout identity.
-* delay linear-system search: solve the membership conditions for
-  lam1, lam2 = 1 - lam1 directly as one exact linear system of bounded degree.
+* delay construction: divide out the gcd of the canonical in-ring
+  representation (normalized to constant term 1; its degree is at most 1),
+  re-inflate the reduced denominator by a multiplier 1 + s*x + c*s^2*x^2
+  (s the gcd slope, c from a fixed constant sequence) until it is coprime to
+  the numerator, and take the Bezout cofactors in A from ``delay_bezout``.
+* reciprocal: when q = 1/p lies in A, (lam1, lam2) = (1 - q, q) with
+  u = v = 1.  The constructions above give a unit lam1 there.
+
+Delay-ring Bezout identities are exact.  A = Q[x^2, x^3] is an integral
+extension inside Q[x], so elements of A are comaximal in A iff their gcd over
+Q[x] is 1, and one degree-1 shift moves the Q[x] cofactors into A.
 """
 
 from __future__ import annotations
@@ -32,13 +34,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
-from .exact import Poly, RatMatrix, ext_gcd_int, ext_gcd_poly, poly_divmod, poly_gcd, solve_linear
+from .exact import ZERO, Poly, ext_gcd_int, ext_gcd_poly, poly_divmod, poly_gcd
 from .rings import RingElement, TransferFunction, causal_representation, contains
 
 DEFAULT_SEARCH_BOX = 128
-DEFAULT_SEARCH_DEGREE = 8
 
 
 def _multiplier_constants():
@@ -48,6 +49,70 @@ def _multiplier_constants():
     while True:
         yield Fraction(2, k * k)
         k += 1
+
+
+def box_spiral(box: int):
+    """Integer pairs (u, v) ordered by Chebyshev shell, lexicographically inside each shell."""
+    for shell in range(box + 1):
+        if shell == 0:
+            yield (0, 0)
+            continue
+        for u in range(-shell, shell + 1):
+            if abs(u) == shell:
+                for v in range(-shell, shell + 1):
+                    yield (u, v)
+            else:
+                yield (u, -shell)
+                yield (u, shell)
+
+
+@dataclass(frozen=True)
+class DelayBezout:
+    """Bezout cofactors for generators g_i of A = Q[x^2, x^3].
+
+    ``qx`` satisfies sum qx_i*g_i = 1 over Q[x].  The pivot is the last
+    generator with a nonzero constant term.  Every other cofactor moves by
+    shifts_i*g_pivot, with shifts_i = -(qx_i's x^1 coefficient)/g_pivot(0)*x,
+    and the pivot's cofactor by -sum shifts_i*g_i.  The resulting
+    ``cofactors`` lie in A and satisfy sum cofactors_i*g_i = 1.
+    """
+
+    qx: tuple[Poly, ...]
+    shifts: tuple[Poly, ...]
+    cofactors: tuple[Poly, ...]
+
+
+def delay_bezout(gens: Sequence[Poly]) -> Optional[DelayBezout]:
+    """Cofactors in A for generators in A, or None iff their gcd over Q[x] is not 1.
+
+    The Q[x] cofactors fold ``ext_gcd_poly`` over the nonzero generators in
+    order, so for two nonzero generators they are its minimal-degree pair.
+    Zero generators get zero cofactors.
+    """
+    live = [i for i, g in enumerate(gens) if not g.is_zero()]
+    if not live:
+        return None
+    qx = [Poly.zero()] * len(gens)
+    common, qx[live[0]] = gens[live[0]], Poly.one()
+    for k, i in enumerate(live[1:], start=1):
+        common, s, t = ext_gcd_poly(common, gens[i])
+        for j in live[:k]:
+            qx[j] = qx[j] * s
+        qx[i] = t
+    if common.degree != 0:
+        return None
+    if common != Poly.one():
+        qx = [c.scale(1 / common.coeff(0)) for c in qx]
+    # Some generator has a nonzero constant term: the identity at x = 0 says so.
+    pivot = max(i for i in live if gens[i].coeff(0) != 0)
+    shifts = [Poly.zero()] * len(gens)
+    cofactors = list(qx)
+    for i in live:
+        if i != pivot:
+            shifts[i] = Poly.from_list([ZERO, -qx[i].coeff(1) / gens[pivot].coeff(0)])
+            cofactors[i] = qx[i] + shifts[i] * gens[pivot]
+            cofactors[pivot] = cofactors[pivot] - shifts[i] * gens[i]
+    return DelayBezout(tuple(qx), tuple(shifts), tuple(cofactors))
 
 
 class Which(Enum):
@@ -115,6 +180,13 @@ class DelayTrace:
 
 
 @dataclass(frozen=True)
+class ReciprocalTrace:
+    """Witness (1 - q, q) for a plant whose inverse q lies in A."""
+
+    inverse: RingElement
+
+
+@dataclass(frozen=True)
 class SearchTrace:
     """Provenance of a witness found by search rather than construction."""
 
@@ -131,7 +203,7 @@ class WitnessPair:
     lam2: RingElement
     u: RingElement
     v: RingElement
-    trace: Union[QuadraticTrace, DelayTrace, SearchTrace]
+    trace: Union[QuadraticTrace, DelayTrace, ReciprocalTrace, SearchTrace]
 
     def __post_init__(self):
         desc = self.plant.descriptor
@@ -141,6 +213,15 @@ class WitnessPair:
             raise ValueError("lam2 fails second factor membership")
         if self.u * self.lam1 + self.v * self.lam2 != RingElement.one(desc):
             raise ValueError("Bezout identity u*lam1 + v*lam2 = 1 fails")
+
+
+def reciprocal_witness(p: TransferFunction) -> Optional[WitnessPair]:
+    """(lam1, lam2) = (1 - q, q) with u = v = 1 when q = 1/p lies in A, else None."""
+    q = contains(p.inverse())
+    if q is None:
+        return None
+    one = RingElement.one(p.descriptor)
+    return WitnessPair(plant=p, lam1=one - q, lam2=q, u=one, v=one, trace=ReciprocalTrace(q))
 
 
 def construct_witnesses_quadratic(p: TransferFunction) -> Optional[WitnessPair]:
@@ -176,21 +257,6 @@ def construct_witnesses_quadratic(p: TransferFunction) -> Optional[WitnessPair]:
     )
 
 
-def _box_spiral(box: int):
-    """(u, v) ordered by Chebyshev shell, lexicographically inside each shell."""
-    for shell in range(box + 1):
-        if shell == 0:
-            yield (0, 0)
-            continue
-        for u in range(-shell, shell + 1):
-            if abs(u) == shell:
-                for v in range(-shell, shell + 1):
-                    yield (u, v)
-            else:
-                yield (u, -shell)
-                yield (u, shell)
-
-
 def search_witnesses_quadratic(p: TransferFunction, box: int = DEFAULT_SEARCH_BOX) -> Optional[WitnessPair]:
     """First lam = u + v*w in the spiral with lam in L1 and 1 - lam in L2.
 
@@ -204,7 +270,7 @@ def search_witnesses_quadratic(p: TransferFunction, box: int = DEFAULT_SEARCH_BO
     beta = int(p.den.re)
     n_norm = a1 * a1 + m * a2 * a2
     one = RingElement.one(desc)
-    for u, v in _box_spiral(box):
+    for u, v in box_spiral(box):
         c1 = beta * (u * a1 + m * v * a2)
         c2 = beta * (v * a1 - u * a2)
         if c1 % n_norm or c2 % n_norm:
@@ -220,65 +286,36 @@ def search_witnesses_quadratic(p: TransferFunction, box: int = DEFAULT_SEARCH_BO
     return None
 
 
-def construct_witnesses_delay(
-    p: TransferFunction,
-    representation: Optional[tuple[RingElement, RingElement]] = None,
-) -> Optional[WitnessPair]:
+def construct_witnesses_delay(p: TransferFunction) -> WitnessPair:
     """Delay-ring witnesses via the gcd/multiplier/Bezout-shift construction.
 
-    ``representation`` may supply an explicit pair (n, d) with p = n/d, both
-    in A and d outside Z; by default the canonical inflated representation is
-    used (its gcd always has degree <= 1).  Returns None when deg gcd(n, d)
-    exceeds 1, which only happens for explicitly supplied representations;
-    the linear-system search is the fallback.
+    Works on the canonical inflated representation (n, d) of the causal plant,
+    whose gcd over Q[x] has degree at most 1.
     """
     desc = p.descriptor
     if not desc.is_delay:
         raise ValueError("delay construction on a non-delay plant")
     if contains(p) is not None:
         raise ValueError("plant lies in A; synthesis uses the trivial controller instead")
+    representation = causal_representation(p)
     if representation is None:
-        representation = causal_representation(p)
-        if representation is None:
-            raise ValueError("plant is not causal")
-    n_el, d_el = representation
-    n, d = n_el.value, d_el.value
-    if TransferFunction.make(desc, n, d) != p:
-        raise ValueError("representation does not equal the plant")
+        raise ValueError("plant is not causal")
+    n, d = representation[0].value, representation[1].value
 
     common = poly_gcd(n, d)
-    if common(0) == 0:
-        raise ValueError("gcd has zero constant term; denominator is not outside Z")
     common = common.scale(1 / common(0))
-    if common.degree > 1:
-        return None
     slope = common.coeff(1)
-    num_red, rem = poly_divmod(n, common)
-    assert rem.is_zero()
-    den_red, rem = poly_divmod(d, common)
-    assert rem.is_zero()
-
-    if slope == 0:
-        constant = Fraction(0)
-        mult = Poly.one()
-        den_infl = d
-        num_infl = n
-    else:
-        for constant in _multiplier_constants():
-            mult = Poly.from_list([Fraction(1), slope, constant * slope * slope])
-            den_infl = den_red * mult
-            if poly_gcd(n, den_infl).degree == 0:
-                break
-        num_infl = num_red * mult
-    assert den_infl.coeff(1) == 0 and num_infl.coeff(1) == 0
-
-    one, cof_num, cof_den = ext_gcd_poly(n, den_infl)
-    assert one == Poly.one(), "witnesses must be coprime after the multiplier scan"
-    shift_slope = cof_num.coeff(0) * cof_den.coeff(1) - cof_num.coeff(1) * cof_den.coeff(0)
-    shift = Poly.from_list([Fraction(0), shift_slope])
-    u = cof_num + shift * den_infl
-    v = cof_den - shift * n
-    assert u.coeff(1) == 0 and v.coeff(1) == 0, "degree-1 coefficients must cancel"
+    num_red = poly_divmod(n, common)[0]
+    den_red = poly_divmod(d, common)[0]
+    # With slope 0 the gcd is 1, so the plain pair (multiplier 1) is coprime.
+    for constant in _multiplier_constants() if slope else [ZERO]:
+        mult = Poly.from_list([Fraction(1), slope, constant * slope * slope])
+        den_infl = den_red * mult
+        bezout = delay_bezout([n, den_infl])
+        if bezout is not None:
+            break
+    num_infl = num_red * mult
+    (cof_num, cof_den), (shift, _), (u, v) = bezout.qx, bezout.shifts, bezout.cofactors
 
     trace = DelayTrace(
         gcd=common,
@@ -307,71 +344,33 @@ def construct_witnesses_delay(
     )
 
 
-def search_witnesses_delay(p: TransferFunction, deg_bound: int = DEFAULT_SEARCH_DEGREE) -> Optional[WitnessPair]:
-    """Linear-system fallback: lam in L1 with 1 - lam in L2, degree <= bound.
+def search_witnesses_delay(p: TransferFunction) -> WitnessPair:
+    """The delay construction under the name of the retired bounded search.
 
-    Memberships are linear: lam*d = mu*n and (1-lam)*n = nu*d with mu, nu in
-    A.  One exact solve over all coefficients (x^1 coefficients pinned to 0)
-    either produces a pair or proves none exists within the bound.
+    Nothing in the package calls it; ``bench/spans.py`` still traces the name.
     """
-    desc = p.descriptor
-    if not desc.is_delay:
-        raise ValueError("delay search on a non-delay plant")
-    rep = causal_representation(p)
-    if rep is None:
-        raise ValueError("plant is not causal")
-    n, d = rep[0].value, rep[1].value
+    return construct_witnesses_delay(p)
 
-    deg_mu = deg_bound + d.degree - n.degree
-    deg_nu = deg_bound + n.degree - d.degree
-    blocks = [("lam", deg_bound)]
-    if deg_mu >= 0:
-        blocks.append(("mu", deg_mu))
-    if deg_nu >= 0:
-        blocks.append(("nu", deg_nu))
-    positions = [
-        (name, j) for name, deg in blocks for j in range(deg + 1) if j != 1
-    ]
 
-    def col(name: str, j: int, k: int, eq: str) -> Fraction:
-        # coefficient of unknown (name, j) in equation row (eq, k)
-        if eq == "first":  # lam*d - mu*n = 0
-            if name == "lam":
-                return d.coeff(k - j)
-            if name == "mu":
-                return -n.coeff(k - j)
-            return Fraction(0)
-        # eq == "second": lam*n + nu*d = n
-        if name == "lam":
-            return n.coeff(k - j)
-        if name == "nu":
-            return d.coeff(k - j)
-        return Fraction(0)
+def witness_candidates(p: TransferFunction, box: int = DEFAULT_SEARCH_BOX) -> Iterator[WitnessPair]:
+    """The witnesses synthesis tries, in order, for a causal plant outside A.
 
-    rows = []
-    rhs = []
-    deg_first = deg_bound + d.degree
-    deg_second = max(deg_bound + n.degree, n.degree)
-    for k in range(deg_first + 1):
-        rows.append([col(name, j, k, "first") if k >= j else Fraction(0) for name, j in positions])
-        rhs.append(Fraction(0))
-    for k in range(deg_second + 1):
-        rows.append([col(name, j, k, "second") if k >= j else Fraction(0) for name, j in positions])
-        rhs.append(n.coeff(k))
-    sol = solve_linear(RatMatrix.from_rows(rows), rhs)
-    if sol is None:
-        return None
-    lam_coeffs = [Fraction(0)] * (deg_bound + 1)
-    for (name, j), value in zip(positions, sol):
-        if name == "lam":
-            lam_coeffs[j] = value
-    lam = RingElement(desc, Poly.from_list(lam_coeffs))
-    one = RingElement.one(desc)
-    return WitnessPair(
-        plant=p,
-        lam1=lam,
-        lam2=one - lam,
-        u=one,
-        v=one,
-        trace=SearchTrace("linear_system", deg_bound),
-    )
+    First the construction for the plant's ring.  When 1/p lies in A its
+    lam1 is a unit, which with r1 = 0 leaves a2 = 0 and a zero controller
+    denominator at every omega, so the reciprocal witness comes next.
+    Quadratic rings end with the box search, which covers the fast path's
+    gaps.
+    """
+    if p.descriptor.is_delay:
+        yield construct_witnesses_delay(p)
+    else:
+        witness = construct_witnesses_quadratic(p)
+        if witness is not None:
+            yield witness
+    witness = reciprocal_witness(p)
+    if witness is not None:
+        yield witness
+    if p.descriptor.is_quadratic:
+        witness = search_witnesses_quadratic(p, box=box)
+        if witness is not None:
+            yield witness

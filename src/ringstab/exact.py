@@ -1,5 +1,4 @@
-"""Exact arithmetic substrate: rationals, quadratic-field elements, polynomials,
-and exact linear solving.
+"""Exact arithmetic substrate: rationals, quadratic-field elements and polynomials.
 
 Everything here computes over Python's arbitrary-precision integers and
 ``fractions.Fraction`` (always in lowest terms, positive denominator), so all
@@ -304,6 +303,11 @@ def ext_gcd_poly(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     vg, rem = poly_divmod(num, b)
     assert rem.is_zero(), "Bezout cofactor division must be exact"
     return g, ug, vg
+
+
+# No package code solves linear systems any more: Bezout identities over the
+# delay ring come from ext_gcd_poly.  RatMatrix and solve_linear stay only
+# while bench/spans.py traces ``exact.solve_linear`` by name.
 
 
 class RatMatrix:

@@ -16,7 +16,8 @@ n2 = p, d2 = 1, y2 = 0, x2 = 1, where w >= 1 and a1, a2 satisfy
 
 When all three hold, the four closed-loop entries are sums of the eight
 products, hence in A, so stability follows; it is still re-verified through
-the closed-loop check before any result is returned.  The free parameters
+the closed-loop check before any result is returned, and the result carries
+the verified closed-loop matrix.  The free parameters
 r1, r2 are restricted to A (a subset of each localized parameter ring), which
 reproduces the worked examples (r1 = r2 = 0) and keeps the knob verifiable.
 """
@@ -26,16 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .closedloop import is_stable
-from .elemfactor import (
-    DEFAULT_SEARCH_BOX,
-    DEFAULT_SEARCH_DEGREE,
-    WitnessPair,
-    construct_witnesses_delay,
-    construct_witnesses_quadratic,
-    search_witnesses_delay,
-    search_witnesses_quadratic,
-)
+from .closedloop import FeedbackMatrix, feedback_matrix
+from .elemfactor import DEFAULT_SEARCH_BOX, WitnessPair, witness_candidates
 from .exact import ext_gcd_int
 from .rings import RingElement, TransferFunction, contains, is_causal
 
@@ -83,7 +76,6 @@ class SynthesisConfig:
     r1: Optional[RingElement] = None
     r2: Optional[RingElement] = None
     search_box: int = DEFAULT_SEARCH_BOX
-    search_degree: int = DEFAULT_SEARCH_DEGREE
 
     def __post_init__(self):
         if self.omega_max < 1:
@@ -92,8 +84,11 @@ class SynthesisConfig:
 
 @dataclass(frozen=True)
 class SynthesisResult:
+    """A controller with the closed-loop matrix H(plant, controller), which must be stable."""
+
     controller: TransferFunction
     plant: TransferFunction
+    closed_loop: FeedbackMatrix
     omega: int
     a1: Optional[RingElement]
     a2: Optional[RingElement]
@@ -104,6 +99,10 @@ class SynthesisResult:
     condition_ii_products: tuple[RingElement, ...] = field(default_factory=tuple)
     witness: Optional[WitnessPair] = None
     trivial: bool = False
+
+    def __post_init__(self):
+        if not self.closed_loop.stable:
+            raise SynthesisError("constructed controller failed the closed-loop check", condition="stability")
 
 
 def solve_condition_i(
@@ -127,8 +126,13 @@ def solve_condition_i(
     a1, a2 = _condition_i_shortcut(lam1, lam2, omega)
     if a1 is None:
         a1, a2 = _condition_i_binomial(lam1, lam2, u, v, omega)
-    assert a1 * lam1 ** omega + a2 * lam2 ** omega == one
+    _check_condition_i(lam1, lam2, a1, a2, omega)
     return a1, a2
+
+
+def _check_condition_i(lam1, lam2, a1, a2, omega) -> None:
+    if a1 * lam1 ** omega + a2 * lam2 ** omega != RingElement.one(lam1.descriptor):
+        raise SynthesisError("a1*lam1^omega + a2*lam2^omega = 1 fails", condition="i")
 
 
 def _condition_i_shortcut(lam1, lam2, omega):
@@ -200,27 +204,11 @@ def _controller_from_products(pair: CoprimePairLocal, products: tuple[RingElemen
     return TransferFunction.make(pair.n1.descriptor, num.value, den.value)
 
 
-def _witness_candidates(p: TransferFunction, cfg: SynthesisConfig):
-    """Fast-path witness first, then the search fallback.
-
-    The fallback also matters when the fast path succeeds but its witness is
-    degenerate for the controller formula (a unit lam1 forces a2 = 0 and a
-    zero denominator at every omega), so both are offered in order.
-    """
-    if p.descriptor.is_quadratic:
-        witness = construct_witnesses_quadratic(p)
-        if witness is not None:
-            yield witness
-        witness = search_witnesses_quadratic(p, box=cfg.search_box)
-        if witness is not None:
-            yield witness
-    else:
-        witness = construct_witnesses_delay(p)
-        if witness is not None:
-            yield witness
-        witness = search_witnesses_delay(p, deg_bound=cfg.search_degree)
-        if witness is not None:
-            yield witness
+def _closed_loop(p: TransferFunction, c: TransferFunction) -> FeedbackMatrix:
+    try:
+        return feedback_matrix(p, c)
+    except ZeroDivisionError:
+        raise SynthesisError("constructed controller gives an ill-posed loop", condition="stability")
 
 
 def synthesize(p: TransferFunction, cfg: SynthesisConfig = SynthesisConfig()) -> SynthesisResult:
@@ -236,9 +224,8 @@ def synthesize(p: TransferFunction, cfg: SynthesisConfig = SynthesisConfig()) ->
     desc = p.descriptor
     if contains(p) is not None:
         c = TransferFunction.zero(desc)
-        assert is_stable(p, c)
         return SynthesisResult(
-            controller=c, plant=p, omega=0,
+            controller=c, plant=p, closed_loop=_closed_loop(p, c), omega=0,
             a1=None, a2=None, lam1=None, lam2=None, r1=None, r2=None,
             trivial=True,
         )
@@ -246,12 +233,16 @@ def synthesize(p: TransferFunction, cfg: SynthesisConfig = SynthesisConfig()) ->
     r1 = cfg.r1 if cfg.r1 is not None else RingElement.zero(desc)
     r2 = cfg.r2 if cfg.r2 is not None else RingElement.zero(desc)
     pair = CoprimePairLocal.for_plant(p, r1, r2)
-    one = RingElement.one(desc)
 
     last_failure = "witness"
     tried_witness = False
-    for witness in _witness_candidates(p, cfg):
+    for witness in witness_candidates(p, box=cfg.search_box):
         tried_witness = True
+        if witness.v.is_zero() and r1.is_zero():
+            # A construction with lam1 a unit (1/p in A) and u = 1/lam1: both
+            # condition-(i) routes give a2 = 0, so the controller denominator
+            # a2*lam2^omega*(1 - r2*p) vanishes at every omega.
+            continue
         lam1, lam2 = witness.lam1, witness.lam2
         for omega in range(1, cfg.omega_max + 1):
             candidates = []
@@ -260,7 +251,7 @@ def synthesize(p: TransferFunction, cfg: SynthesisConfig = SynthesisConfig()) ->
                 candidates.append(short)
             candidates.append(_condition_i_binomial(lam1, lam2, witness.u, witness.v, omega))
             for a1, a2 in candidates:
-                assert a1 * lam1 ** omega + a2 * lam2 ** omega == one
+                _check_condition_i(lam1, lam2, a1, a2, omega)
                 products = check_condition_ii(pair, lam1, lam2, a1, a2, omega)
                 if products is None:
                     last_failure = "ii"
@@ -270,12 +261,8 @@ def synthesize(p: TransferFunction, cfg: SynthesisConfig = SynthesisConfig()) ->
                 except SynthesisError:
                     last_failure = "iii"
                     continue
-                if not is_stable(p, c):
-                    raise SynthesisError(
-                        "constructed controller failed the closed-loop check", condition="stability"
-                    )
                 return SynthesisResult(
-                    controller=c, plant=p, omega=omega,
+                    controller=c, plant=p, closed_loop=_closed_loop(p, c), omega=omega,
                     a1=a1, a2=a2, lam1=lam1, lam2=lam2, r1=r1, r2=r2,
                     condition_ii_products=products, witness=witness,
                 )

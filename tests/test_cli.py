@@ -3,6 +3,7 @@
 import json
 import os
 
+import pytest
 
 from ringstab.cli import EXIT_OK, EXIT_PARSE, EXIT_UNKNOWN, PlantFile, main
 
@@ -22,6 +23,16 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, _ = run(capsys, *argv, "--json")
     return code, json.loads(out)
+
+
+def plant_file(tmp_path, doc):
+    path = tmp_path / "plant.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+with open(fx("delay_plant.json")) as fh:
+    DELAY_DOC = json.load(fh)
 
 
 class TestAnalyze:
@@ -83,6 +94,21 @@ class TestSynthesize:
         assert code == EXIT_OK
         assert doc["omega"] == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"ring": {"kind": "delay"}, "plant": {"num": {"coeffs": ["1"]}, "den": {"coeffs": ["1", "0", "1"]}}},
+        {"ring": {"kind": "delay"}, "plant": {"num": {"coeffs": ["3"]}, "den": {"coeffs": ["2", "0", "-3", "5"]}}},
+        {"ring": {"kind": "quadratic", "m": 5}, "plant": {"num": {"re": "1", "im": "0"}, "den": {"re": "2", "im": "0"}}},
+        {"ring": {"kind": "quadratic", "m": 5}, "plant": {"num": {"re": "3", "im": "-1"}, "den": {"re": "14", "im": "0"}}},
+    ], ids=["1/(1+x^2)", "3/(2-3x^2+5x^3)", "1/2", "(3-i5)/14"])
+    def test_reciprocal_plants_verify(self, capsys, tmp_path, doc):
+        path = plant_file(tmp_path, doc)
+        code, synth = run_json(capsys, "synthesize", path)
+        assert code == EXIT_OK
+        assert synth["omega"] == 1
+        assert synth["witness"]["trace"]["kind"] == "reciprocal"
+        code, checked = run_json(capsys, "verify", path, synth["controller"]["display"])
+        assert code == EXIT_OK and checked["stable"] is True
+
     def test_latex(self, capsys):
         code, out, _ = run(capsys, "synthesize", fx("quadratic_plant.json"), "--latex")
         assert code == EXIT_OK
@@ -135,10 +161,18 @@ class TestCoprimeFactorization:
         assert doc["cf"]["n"] == "3" and doc["cf"]["d"] == "2"
 
     def test_delay_plant_unknown_verdict(self, capsys):
-        code, doc = run_json(capsys, "coprime-factorization", fx("delay_plant.json"), "--bound", "8")
+        # the reduced pair of (1-x^3)/(1-x^2) lies outside A; no bound applies
+        code, doc = run_json(capsys, "coprime-factorization", fx("delay_plant.json"))
         assert code == EXIT_UNKNOWN
         assert doc["cf"]["verdict"] == "unknown"
-        assert doc["cf"]["bound"] == 8
+        assert "bound" not in doc["cf"]
+        assert "outside A" in doc["cf"]["reason"]
+
+    def test_delay_plant_exists_verdict(self, capsys, tmp_path):
+        doc = {"ring": {"kind": "delay"}, "plant": {"num": {"coeffs": ["1", "0", "2"]}, "den": {"coeffs": ["3", "0", "1", "1"]}}}
+        code, report = run_json(capsys, "coprime-factorization", plant_file(tmp_path, doc))
+        assert code == EXIT_OK
+        assert report["cf"]["verdict"] == "exists"
 
 
 class TestFamily:
@@ -175,11 +209,9 @@ class TestFamily:
 
 class TestReports:
     def test_json_deterministic(self, capsys):
-        _, doc1 = run_json(capsys, "synthesize", fx("quadratic_plant.json"))
-        _, doc2 = run_json(capsys, "synthesize", fx("quadratic_plant.json"))
-        doc1.pop("elapsed_ms")
-        doc2.pop("elapsed_ms")
-        assert doc1 == doc2
+        _, out1, _ = run(capsys, "synthesize", fx("quadratic_plant.json"), "--json")
+        _, out2, _ = run(capsys, "synthesize", fx("quadratic_plant.json"), "--json")
+        assert out1 == out2
 
     def test_no_floats_in_json(self, capsys):
         _, doc = run_json(capsys, "synthesize", fx("delay_plant.json"))
@@ -206,4 +238,32 @@ class TestReports:
 
     def test_usage_error(self, capsys):
         assert main(["synthesize"]) == EXIT_PARSE
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["synthesize", "{plant}", "--r1", "x"], DELAY_DOC),
+        (["synthesize", "{plant}", "--r1", "zz"], DELAY_DOC),
+        (["synthesize", "{plant}"], {"ring": {"kind": "delay"}, "plant": [1, 2]}),
+        (["analyze", "{plant}"], {"ring": "q", "plant": DELAY_DOC["plant"]}),
+        (["analyze", "{plant}"], {"ring": {"kind": "delay"}, "plant": {"num": {"coeffs": 5}, "den": {"coeffs": ["1"]}}}),
+        (["analyze", "{plant}"], {"ring": {"kind": "delay"}, "plant": {"num": {"coeffs": "12"}, "den": {"coeffs": ["1"]}}}),
+        (["analyze", "{plant}"], {"ring": {"kind": "quadratic", "m": 5}, "plant": {"num": {"re": [1]}, "den": {"re": "2"}}}),
+        (["synthesize", "{plant}"], dict(DELAY_DOC, config={"omega_max": 0})),
+        (["synthesize", "{plant}", "--omega-max", "-3"], DELAY_DOC),
+        (["synthesize", "{plant}", "--omega-max", "0"], DELAY_DOC),
+        (["analyze", "{plant}", "--box", "0"], DELAY_DOC),
+        (["coprime-factorization", "{plant}", "--box", "0"], DELAY_DOC),
+        (["family", "--x", "2", "--y", "3", "--omega-max", "0"], None),
+    ], ids=["r1-degree-one", "r1-unparsable", "plant-list", "ring-string", "coeffs-number", "coeffs-string",
+            "re-list", "config-omega-zero",
+            "omega-negative", "omega-zero", "box-zero", "cf-box-zero", "family-omega-zero"])
+    def test_input_errors_exit_2_with_one_line(self, capsys, tmp_path, argv, doc):
+        path = plant_file(tmp_path, doc) if doc is not None else None
+        code, out, err = run(capsys, *[path if a == "{plant}" else a for a in argv])
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_bound_option_removed(self, capsys):
+        assert main(["synthesize", fx("delay_plant.json"), "--bound", "8"]) == EXIT_PARSE
         capsys.readouterr()

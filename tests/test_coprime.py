@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from ringstab.coprime import (
+    OUTSIDE_A_REASON,
     CertKind,
     CFKind,
     FamilyParams,
@@ -160,10 +161,10 @@ class TestAreCoprime:
         assert cert.is_witness
         assert cert.x == dp(F(1, 2)) and cert.y == dp(F(1, 2))
 
-    def test_delay_unknown_for_common_factor(self):
-        cert = are_coprime(dp(1, 0, -1), dp(1, 0, -2, 1))
-        assert cert.kind == CertKind.UNKNOWN
-        assert cert.bound == 8
+    def test_delay_not_coprime_for_common_factor(self):
+        cert = are_coprime(dp(1, 0, -1), dp(1, 0, -2, 0, 1))
+        assert cert.kind == CertKind.NOT_COPRIME
+        assert cert.common_factor == Poly.of(1, 0, -1)
 
     def test_both_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -201,10 +202,22 @@ class TestCFExists:
         assert (verdict.x, verdict.y) == (q5(1), q5(-1))
 
     def test_delay_plant_unknown(self):
+        # reduced pair (1+x+x^2)/(1+x) lies outside A: no bound, a named reason
         p = TransferFunction.make(D, Poly.of(1, 0, 0, -1), Poly.of(1, 0, -1))
-        verdict = cf_exists(p, bound=8)
+        verdict = cf_exists(p)
         assert verdict.kind == CFKind.UNKNOWN
-        assert verdict.bound == 8
+        assert verdict.bound is None
+        assert verdict.reason == OUTSIDE_A_REASON
+
+    def test_degree_twelve_delay_plant_exists(self):
+        # a bounded Bezout search of degree 8 left this plant Unknown
+        num = Poly.of(7, 0, 2, 6, 5, -7, 6, 8, -1, 0, -6, -2, -5)
+        den = Poly.of(4, 0, -8, -2, 7, 5, -5, -3, -5, -4, -7, -4, -5)
+        p = TransferFunction.make(D, num, den)
+        verdict = cf_exists(p)
+        assert verdict.kind == CFKind.EXISTS
+        assert verdict.x * verdict.n + verdict.y * verdict.d == RingElement.one(D)
+        assert max(verdict.x.value.degree, verdict.y.value.degree) > 8
 
     def test_delay_plant_with_cf(self):
         # num and den already in A and Bezout-coprime there
@@ -318,9 +331,15 @@ class TestInstanceVerifier:
         report = verify_nonexistence_instance(inst)
         assert report.cond_i
         assert report.cond_ii_causal
-        assert report.cond_ii == Verdict.UNKNOWN  # bounded tool cannot certify absence
+        assert report.cond_ii == Verdict.UNKNOWN  # NotExists is not certified for delay plants yet
         assert report.cond_iii == Verdict.HOLDS
         assert report.cond_iii_via == "pair"
+
+    def test_delay_quadruple_without_bezout_fails(self):
+        g = dp(1, 0, -1)
+        report = verify_nonexistence_instance(NonexistenceInstance(g, g, g, g))
+        assert report.pair_certificate.common_factor == g.value
+        assert report.cond_iii == Verdict.FAILS
 
     def test_product_mismatch_fails_first_condition(self):
         report = verify_nonexistence_instance(NonexistenceInstance(q5(1), q5(1), q5(1), q5(2)))

@@ -6,18 +6,20 @@ from fractions import Fraction as F
 import pytest
 
 from ringstab.elemfactor import (
-    DelayTrace,
     LambdaSet,
+    ReciprocalTrace,
     SearchTrace,
     Which,
     WitnessPair,
     construct_witnesses_delay,
     construct_witnesses_quadratic,
+    delay_bezout,
     lambda_member,
-    search_witnesses_delay,
+    reciprocal_witness,
     search_witnesses_quadratic,
+    witness_candidates,
 )
-from ringstab.exact import Poly, QuadElem
+from ringstab.exact import Poly, QuadElem, ext_gcd_poly
 from ringstab.rings import RingElement, TransferFunction, contains, delay, quadratic
 
 Z5 = quadratic(5)
@@ -151,15 +153,12 @@ class TestDelayConstruction:
         assert w.trace.multiplier == Poly.one()
         assert w.lam2.value == Poly.of(1, 0, 1)
 
-    def test_high_degree_gcd_representation_returns_none(self):
+    def test_canonical_representation_gcd_degree_at_most_one(self):
+        # (1-x^4)/(1-x^6) has a degree-2 common factor in this form; the
+        # canonical representation of the same plant has unit gcd
         p = TransferFunction.make(D, Poly.of(1, 0, 0, 0, -1), Poly.of(1, 0, 0, 0, 0, 0, -1))
-        rep = (
-            RingElement(D, Poly.of(1, 0, 0, 0, -1)),
-            RingElement(D, Poly.of(1, 0, 0, 0, 0, 0, -1)),
-        )
-        assert construct_witnesses_delay(p, representation=rep) is None
-        # the canonical representation of the same plant has unit gcd
-        assert construct_witnesses_delay(p) is not None
+        w = construct_witnesses_delay(p)
+        assert w.trace.gcd == Poly.one()
 
     def test_degree_one_coefficients_killed(self):
         rng = random.Random(73)
@@ -184,37 +183,76 @@ class TestDelayConstruction:
             assert w.v.value.coeff(1) == 0
 
 
-class TestDelaySearch:
-    def test_worked_model_within_bound(self):
-        w = search_witnesses_delay(P_DELAY, deg_bound=4)
-        # frozen deterministic solver output; memberships re-verified below
-        assert w.lam1.value == Poly.of(F(1, 2), 0, 0, F(-1, 2))
-        assert w.lam2.value == Poly.of(F(1, 2), 0, 0, F(1, 2))
-        assert lambda_member(w.lam1, LambdaSet(P_DELAY, Which.I1))
-        assert lambda_member(w.lam2, LambdaSet(P_DELAY, Which.I2))
+def _rand_delay(rng, degree, low=-3, high=3):
+    cs = [F(rng.randint(low, high)) for _ in range(degree + 1)]
+    return Poly.from_list([c if k != 1 else F(0) for k, c in enumerate(cs)])
 
-    def test_zero_bound_fails(self):
-        assert search_witnesses_delay(P_DELAY, deg_bound=0) is None
 
+class TestDelayBezout:
     def test_random_causal_plants(self):
         rng = random.Random(74)
         found = 0
         while found < 20:
-            cs = [F(rng.randint(-3, 3)) for _ in range(4)]
-            cs[1] = F(0)
-            ds = [F(rng.randint(-3, 3)) for _ in range(4)]
-            ds[1] = F(0)
-            n, d = Poly.from_list(cs), Poly.from_list(ds)
+            n, d = _rand_delay(rng, 3), _rand_delay(rng, 3)
             if n.is_zero() or d.is_zero() or d(0) == 0:
                 continue
             p = TransferFunction.make(D, n, d)
             if contains(p) is not None:
                 continue
-            w = search_witnesses_delay(p, deg_bound=8)
-            assert w is not None
+            w = next(witness_candidates(p))
             assert lambda_member(w.lam1, LambdaSet(p, Which.I1))
             assert lambda_member(w.lam2, LambdaSet(p, Which.I2))
             found += 1
+
+    def test_pair_cofactors_start_from_ext_gcd(self):
+        n, d = Poly.of(1, 0, 0, -1), Poly.of(1, 0, F(-7, 9), F(2, 9))
+        bezout = delay_bezout([n, d])
+        assert bezout.qx == ext_gcd_poly(n, d)[1:]
+        assert bezout.shifts == (Poly.of(0, F(441, 988)), Poly.zero())
+
+    def test_degenerate_generators(self):
+        assert delay_bezout([Poly.zero(), Poly.zero()]) is None
+        assert delay_bezout([Poly.x_pow(2), Poly.x_pow(3)]) is None  # common factor x^2
+        assert delay_bezout([Poly.zero(), Poly.constant(3)]).cofactors == (Poly.zero(), Poly.constant(F(1, 3)))
+
+    def test_differential_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(75)
+        coprime = shared = 0
+        for _ in range(150):
+            common = _rand_delay(rng, rng.choice((0, 0, 2, 3)))
+            if common.is_zero():
+                continue
+            gens = [common * _rand_delay(rng, rng.randint(0, 4)) for _ in range(rng.randint(2, 4))]
+            expected = sympy.Integer(0)
+            for g in gens:
+                expected = sympy.gcd(expected, sympy.Poly(list(reversed(g.coeffs)) or [0], x).as_expr())
+            bezout = delay_bezout(gens)
+            assert (bezout is not None) == (expected != 0 and sympy.degree(expected, x) == 0), gens
+            if bezout is None:
+                shared += 1
+                continue
+            coprime += 1
+            total = Poly.zero()
+            for c, g in zip(bezout.cofactors, gens):
+                assert c.coeff(1) == 0
+                total = total + c * g
+            assert total == Poly.one()
+        assert coprime > 30 and shared > 30
+
+
+class TestReciprocalWitness:
+    def test_all_pole_plant(self):
+        p = TransferFunction.make(D, Poly.one(), Poly.of(1, 0, 1))
+        w = reciprocal_witness(p)
+        assert isinstance(w.trace, ReciprocalTrace)
+        assert (w.lam1.value, w.lam2.value) == (Poly.of(0, 0, -1), Poly.of(1, 0, 1))
+        assert list(witness_candidates(p))[1] == w  # after the unit-lam1 construction
+
+    def test_inverse_outside_ring(self):
+        assert reciprocal_witness(P_DELAY) is None
+        assert reciprocal_witness(P_Z5) is None
 
 
 class TestWitnessPairValidation:

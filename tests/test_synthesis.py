@@ -1,12 +1,14 @@
 """Controller synthesis: condition solving, membership checks, full pipeline."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from ringstab import synthesis
 from ringstab.closedloop import is_stable
-from ringstab.elemfactor import construct_witnesses_delay, construct_witnesses_quadratic
+from ringstab.elemfactor import ReciprocalTrace, construct_witnesses_delay, construct_witnesses_quadratic
 from ringstab.exact import Poly, QuadElem
 from ringstab.rings import RingElement, TransferFunction, delay, quadratic
 from ringstab.synthesis import (
@@ -131,10 +133,33 @@ class TestSynthesize:
 
     def test_unit_inverse_plant(self):
         # 1/p in A makes the fast-path witness degenerate (a2 = 0); the
-        # search witness must take over
+        # reciprocal witness takes over
         p = TransferFunction.make(Z5, QuadElem.of(1, 0, 5), QuadElem.of(2, 0, 5))
         result = synthesize(p)
         assert is_stable(p, result.controller)
+        assert isinstance(result.witness.trace, ReciprocalTrace)
+
+    @pytest.mark.parametrize("plant", [
+        TransferFunction.make(D, Poly.one(), Poly.of(1, 0, 1)),
+        TransferFunction.make(D, Poly.of(3), Poly.of(2, 0, -3, 5)),
+        TransferFunction.make(Z5, QuadElem.of(1, 0, 5), QuadElem.of(2, 0, 5)),
+        TransferFunction.make(Z5, QuadElem.of(3, -1, 5), QuadElem.of(14, 0, 5)),
+    ], ids=["1/(1+x^2)", "3/(2-3x^2+5x^3)", "1/2", "(3-i5)/14"])
+    def test_reciprocal_plants_close_at_omega_one(self, plant):
+        result = synthesize(plant)
+        assert result.omega == 1
+        assert isinstance(result.witness.trace, ReciprocalTrace)
+        assert result.witness.lam2.to_tf() == plant.inverse()
+        assert is_stable(plant, result.controller)
+
+    @pytest.mark.parametrize("plant", [P_Z5, TransferFunction.make(Z5, QuadElem.of(2, 0, 5), QuadElem.of(1, 0, 5))],
+                             ids=["witnessed", "in_ring"])
+    def test_unstable_closed_loop_raises(self, plant, monkeypatch):
+        real = synthesis.feedback_matrix
+        monkeypatch.setattr(synthesis, "feedback_matrix", lambda p, c: dataclasses.replace(real(p, c), stable=False))
+        with pytest.raises(SynthesisError) as err:
+            synthesize(plant)
+        assert err.value.condition == "stability"
 
     def test_noncausal_rejected(self):
         p = TransferFunction.make(D, Poly.one(), Poly.x_pow(2))
