@@ -14,6 +14,8 @@ from .coprime import (
     CFVerdict,
     CertKind,
     CoprimeCertificate,
+    DelayBezout,
+    FactorIdeals,
     FamilyParams,
     NonexistenceInstance,
     NonexistenceReport,
@@ -21,6 +23,8 @@ from .coprime import (
     Verdict,
     are_coprime,
     cf_exists,
+    delay_bezout,
+    factor_ideals,
     generate_family_instance,
     ideal_from_gens,
     ideal_is_principal,
@@ -28,17 +32,15 @@ from .coprime import (
     verify_nonexistence_instance,
 )
 from .elemfactor import (
-    DelayBezout,
     DelayTrace,
+    IdealTrace,
     LambdaSet,
     QuadraticTrace,
     ReciprocalTrace,
-    SearchTrace,
     Which,
     WitnessPair,
     construct_witnesses_delay,
     construct_witnesses_quadratic,
-    delay_bezout,
     lambda_member,
     reciprocal_witness,
     search_witnesses_quadratic,

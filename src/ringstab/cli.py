@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -20,11 +21,10 @@ from typing import Optional
 from . import coprime as cp
 from .closedloop import feedback_matrix
 from .elemfactor import (
-    DEFAULT_SEARCH_BOX,
     DelayTrace,
+    IdealTrace,
     QuadraticTrace,
     ReciprocalTrace,
-    SearchTrace,
     WitnessPair,
     witness_candidates,
 )
@@ -110,7 +110,9 @@ class PlantFile:
         kind = ring.get("kind")
         try:
             if kind == "quadratic":
-                desc = quadratic(int(ring["m"]))
+                if type(ring["m"]) is not int:  # rejects floats, bools and strings
+                    raise PlantFileError(f"{where}: ring.m must be a JSON integer, got {ring['m']!r}")
+                desc = quadratic(ring["m"])
             elif kind == "delay":
                 desc = delay()
             else:
@@ -257,8 +259,8 @@ def _trace_json(trace) -> dict:
         }
     if isinstance(trace, ReciprocalTrace):
         return {"kind": "reciprocal", "q": str(trace.inverse)}
-    if isinstance(trace, SearchTrace):
-        return {"kind": "search", "method": trace.method, "bound": trace.bound}
+    if isinstance(trace, IdealTrace):
+        return {"kind": "factor_ideals", "lambda1": _ideal_json(trace.lam1), "lambda2": _ideal_json(trace.lam2)}
     return {"kind": "unknown"}
 
 
@@ -282,10 +284,8 @@ def _cf_json(v: cp.CFVerdict) -> dict:
         out.update(n=str(v.n), d=str(v.d), x=str(v.x), y=str(v.y))
     elif v.kind == cp.CFKind.NOT_EXISTS:
         out["certificate_ideal"] = _ideal_json(v.ideal)
-    elif v.reason is not None:
-        out["reason"] = v.reason
     else:
-        out["bound"] = v.bound
+        out["reason"] = v.reason
     return out
 
 
@@ -340,11 +340,7 @@ def _config_from(pf: PlantFile, args) -> SynthesisConfig:
                 r[key] = parse_ring_element(pf.descriptor, text)
             except (ValueError, ZeroDivisionError) as exc:
                 raise PlantFileError(f"--{key}: {exc}")
-    return SynthesisConfig(
-        omega_max=_count(args, "omega_max", cfg, SynthesisConfig.omega_max),
-        search_box=_count(args, "box", cfg, DEFAULT_SEARCH_BOX),
-        **r,
-    )
+    return SynthesisConfig(omega_max=_count(args, "omega_max", cfg, SynthesisConfig.omega_max), **r)
 
 
 def cmd_analyze(args, rep: Report) -> None:
@@ -374,11 +370,12 @@ def cmd_analyze(args, rep: Report) -> None:
             {"n": str(n), "d": str(d), "gcd": _poly_str(g)},
             f"A-representation: n = {n}, d = {d}, gcd = {_poly_str(g)}",
         )
-    cfg = _config_from(pf, args)
-    witness = next(witness_candidates(p, box=cfg.search_box), None)
-    if witness is None:
-        rep.put("stabilizable", "unknown", "stabilizable: unknown (witness search exhausted)")
-        rep.status = EXIT_UNKNOWN
+    _config_from(pf, args)  # rejects a bad --omega-max or config section
+    witness = next(witness_candidates(p), None)
+    if witness is None:  # only a quadratic plant with a non-invertible G gets no candidate
+        ideal = cp.factor_ideals(p).ideal
+        rep.put("stabilizable", False, f"stabilizable: False (G = (num, den) = {ideal} is not invertible)")
+        rep.put("certificate_ideal", _ideal_json(ideal))
         return
     rep.put("witness", _witness_json(witness), f"factor witnesses: lambda1 = {witness.lam1}, lambda2 = {witness.lam2}")
     rep.say(f"  Bezout: ({witness.u})*lambda1 + ({witness.v})*lambda2 = 1")
@@ -396,6 +393,8 @@ def cmd_synthesize(args, rep: Report) -> None:
     except SynthesisError as exc:
         rep.put("error", str(exc), f"synthesis failed: {exc}")
         rep.put("failed_condition", exc.condition)
+        if exc.certificate is not None:
+            rep.put("certificate_ideal", _ideal_json(exc.certificate))
         rep.status = EXIT_SYNTHESIS
         return
     rep.put("controller", _tf_json(result.controller), f"controller: {result.controller}")
@@ -467,23 +466,15 @@ def cmd_coprime_factorization(args, rep: Report) -> None:
         raise PlantFileError("coprime factorization of the zero plant is trivial; give a nonzero plant")
     rep.put("ring", str(pf.descriptor), f"ring: {pf.descriptor}")
     rep.put("plant", _tf_json(p), f"plant: {p}")
-    box = _count(args, "box", pf.config, cp.DEFAULT_COEFF_BOX)
-    decisive = pf.descriptor.is_quadratic and pf.descriptor.is_maximal_order
-    rep.put("decisive", decisive)
-    if not decisive:
-        rep.say("note: ring is not a maximal-order quadratic ring; only Exists/Unknown can be certified")
-    verdict = cp.cf_exists(p, box=box)
+    verdict = cp.cf_exists(p)
     rep.put("cf", _cf_json(verdict))
     if verdict.kind == cp.CFKind.EXISTS:
         rep.say(f"coprime factorization exists: p = ({verdict.n})/({verdict.d})")
         rep.say(f"  Bezout: ({verdict.x})*n + ({verdict.y})*d = 1")
     elif verdict.kind == cp.CFKind.NOT_EXISTS:
         rep.say(f"no coprime factorization: certificate ideal {verdict.ideal} is non-principal")
-    elif verdict.reason is not None:
-        rep.say(f"unknown: {verdict.reason}")
-        rep.status = EXIT_UNKNOWN
     else:
-        rep.say(f"unknown within bound {verdict.bound}: no witness found")
+        rep.say(f"unknown: {verdict.reason}")
         rep.status = EXIT_UNKNOWN
 
 
@@ -548,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="causality, canonical form, factor witnesses")
     common(sp)
-    sp.add_argument("--box", type=int, help="coefficient box for quadratic searches")
     sp.add_argument("--omega-max", type=int, dest="omega_max")
     sp.set_defaults(func=cmd_analyze)
 
@@ -557,7 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--omega-max", type=int, dest="omega_max")
     sp.add_argument("--r1", help="free parameter r1 (ring element literal)")
     sp.add_argument("--r2", help="free parameter r2 (ring element literal)")
-    sp.add_argument("--box", type=int, help="coefficient box for quadratic searches")
     sp.set_defaults(func=cmd_synthesize)
 
     sp = sub.add_parser("verify", help="check closed-loop stability of a plant/controller pair")
@@ -567,7 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("coprime-factorization", help="decide existence of a coprime factorization")
     common(sp)
-    sp.add_argument("--box", type=int, help="coefficient box (non-maximal quadratic rings)")
     sp.set_defaults(func=cmd_coprime_factorization)
 
     sp = sub.add_parser("family", help="generate and fully check a Z[sqrt(xy-1)i] instance")
@@ -592,7 +580,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except PlantFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    print(rep.finish(as_json=args.json))
+    try:
+        print(rep.finish(as_json=args.json))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``| head``); keep the exit-time flush quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return rep.status
 
 

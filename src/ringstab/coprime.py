@@ -2,15 +2,15 @@
 
 Quadratic rings get exact ideal arithmetic: an ideal of Z[sqrt(m)*i] is a
 rank-2 sublattice of Z^2 (coordinates over the basis {1, sqrt(m)*i}) closed
-under multiplication by sqrt(m)*i, stored in Hermite normal form.  Bezout
-witnesses come from expressing 1 over the generator lattice; nonexistence of a
-coprime factorization is certified by a non-principal numerator or denominator
-ideal, which is a valid certificate exactly when Z[sqrt(m)*i] is the maximal
-order (square-free m, m = 1 or 2 mod 4).
+under multiplication by sqrt(m)*i, stored in Hermite normal form.  Every
+quadratic question is decided from the ideal G = (num, beta) of a plant
+num/beta, in any order Z[sqrt(m)*i] (Quadrat 2003): p is stabilizable iff G
+is invertible, i.e. G*conj(G) = N(G)*A, and has a coprime factorization iff
+G is principal.  Bezout witnesses come from expressing 1 over a lattice.
 
 The delay ring A = Q[x^2, x^3] is decided in Q[x]: elements of A are
-comaximal in A iff their gcd over Q[x] is 1 (``elemfactor.delay_bezout``
-supplies the cofactors in A), and the nonconstant gcd certifies NotCoprime.
+comaximal in A iff their gcd over Q[x] is 1 (``delay_bezout`` supplies the
+cofactors in A), and the nonconstant gcd certifies NotCoprime.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .elemfactor import box_spiral, delay_bezout
-from .exact import Poly, QuadElem, ext_gcd_int, is_square, poly_divides, poly_gcd
+from .exact import ZERO, Poly, QuadElem, ext_gcd_int, ext_gcd_poly, is_square, poly_divides, poly_gcd
 from .rings import (
     RingDescriptor,
     RingElement,
@@ -30,8 +29,6 @@ from .rings import (
     is_causal,
     quadratic,
 )
-
-DEFAULT_COEFF_BOX = 50
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +149,60 @@ def _express_in_lattice(rows: Sequence[Sequence[int]], target: tuple[int, int]) 
     return None if (tx, ty) != (0, 0) else coeffs
 
 
+def _round_div(n: int, d: int) -> int:
+    """n/d rounded to the nearest integer (halves up), for d > 0."""
+    return (2 * n + d) // (2 * d)
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return u[0] * v[0] + u[1] * v[1]
+
+
+def _cross(u: Sequence[int], v: Sequence[int]) -> int:
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _steps_within(q: int, step: int, radius: int) -> tuple[int, int]:
+    """The integers i with |q + i*step| <= radius, as an inclusive range; step != 0."""
+    if step < 0:
+        q, step = -q, -step
+    return -((radius + q) // step), (radius - q) // step
+
+
+def _least_in_coset(rows: Sequence[Sequence[int]], point: Sequence[int]) -> tuple[int, int]:
+    """The point of point + lattice(rows) least in the order (max(|x|, |y|), x, y).
+
+    In integers only: the Babai point c of point over a Lagrange-reduced basis
+    (b1, b2) bounds the least max-norm by R = max(|c_x|, |c_y|), and every
+    c + i*b1 + j*b2 within R is enumerated, j over the few values that
+    |j*det| = |cross(b1, P - c)| <= 2R*|b1|_1 allows, i over an interval.
+    """
+    b1, b2 = sorted(rows, key=lambda r: _dot(r, r))
+    while True:
+        q = _round_div(_dot(b1, b2), _dot(b1, b1))
+        b2 = (b2[0] - q * b1[0], b2[1] - q * b1[1])
+        if _dot(b2, b2) >= _dot(b1, b1):
+            break
+        b1, b2 = b2, b1
+    det = _cross(b1, b2)
+    if det < 0:
+        b2, det = (-b2[0], -b2[1]), -det
+    i0, j0 = _round_div(_cross(point, b2), det), _round_div(_cross(b1, point), det)
+    cx, cy = point[0] - i0 * b1[0] - j0 * b2[0], point[1] - i0 * b1[1] - j0 * b2[1]
+    radius = max(abs(cx), abs(cy))
+    span = 2 * radius * (abs(b1[0]) + abs(b1[1])) // det
+    best = (radius, cx, cy)
+    for j in range(-span, span + 1):
+        q = (cx + j * b2[0], cy + j * b2[1])
+        if any(abs(q[k]) > radius for k in (0, 1) if b1[k] == 0):
+            continue
+        ranges = [_steps_within(q[k], b1[k], radius) for k in (0, 1) if b1[k]]
+        for i in range(max(r[0] for r in ranges), min(r[1] for r in ranges) + 1):
+            x, y = q[0] + i * b1[0], q[1] + i * b1[1]
+            best = min(best, (max(abs(x), abs(y)), x, y))
+    return best[1], best[2]
+
+
 # ---------------------------------------------------------------------------
 # Ideals of Z[sqrt(m)*i]
 # ---------------------------------------------------------------------------
@@ -187,9 +238,6 @@ class QuadIdeal:
     def norm(self) -> int:
         return self.a * self.c
 
-    def is_whole_ring(self) -> bool:
-        return self.norm == 1
-
     def basis_rows(self) -> list[tuple[int, int]]:
         return [(self.a, 0), (self.b, self.c)]
 
@@ -217,21 +265,26 @@ class QuadIdeal:
         return f"[{self.a}, {second}] (norm {self.norm})"
 
 
-def ideal_from_gens(m: int, gens: Sequence[QuadElem]) -> QuadIdeal:
-    """Ideal generated by the given elements (at least one nonzero)."""
+def _gen_rows(m: int, gens: Sequence[QuadElem]) -> list[tuple[int, int]]:
+    """Rows g and w*g of every nonzero integral generator g: they span the ideal."""
     rows = []
     for g in gens:
         if not g.is_integral():
             raise ValueError(f"generator {g} is not integral")
-        if g.is_zero():
-            continue
-        x, y = int(g.re), int(g.im)
-        rows.append((x, y))
-        rows.append((-m * y, x))  # w * g
+        if not g.is_zero():
+            x, y = int(g.re), int(g.im)
+            rows += [(x, y), (-m * y, x)]
+    return rows
+
+
+def ideal_from_gens(m: int, gens: Sequence[QuadElem]) -> QuadIdeal:
+    """Ideal generated by the given elements (at least one nonzero)."""
+    rows = _gen_rows(m, gens)
     if not rows:
         raise ValueError("zero ideal")
     hnf_rows = _hnf2(rows)
-    assert len(hnf_rows) == 2, "nonzero quadratic ideals have rank 2"
+    if len(hnf_rows) != 2:
+        raise ValueError("nonzero quadratic ideals have rank 2")
     (a, _), (b, c) = hnf_rows
     return QuadIdeal(m, a, b, c)
 
@@ -241,17 +294,13 @@ def principal_ideal(m: int, z: QuadElem) -> QuadIdeal:
 
 
 def ideal_is_principal(ideal: QuadIdeal) -> Optional[QuadElem]:
-    """A generator of the ideal, or None.  Maximal orders only.
+    """A generator of the ideal, or None.  Complete in every order.
 
-    Enumerates the finitely many elements with re^2 + m*im^2 = norm(ideal)
-    (half-plane representatives; sign flips generate the same ideal) and
-    checks generation by HNF equality.
+    A generator z has N(z) = [A : zA] = norm(ideal), so enumerating the
+    finitely many elements with re^2 + m*im^2 = norm(ideal) (half-plane
+    representatives; sign flips generate the same ideal) and checking
+    generation by HNF equality decides principality.
     """
-    desc = quadratic(ideal.m)
-    if not desc.is_maximal_order:
-        raise ValueError(
-            f"principality test requires the maximal order (square-free m = 1, 2 mod 4); m={ideal.m}"
-        )
     n = ideal.norm
     for y in range(0, math.isqrt(n // ideal.m) + 1):
         rest = n - ideal.m * y * y
@@ -270,9 +319,97 @@ def ideal_is_principal(ideal: QuadIdeal) -> Optional[QuadElem]:
     return None
 
 
+@dataclass(frozen=True)
+class FactorIdeals:
+    """G = (num, beta) of a quadratic plant num/beta and, when G is invertible,
+    the factor ideals Lam1 = (num)*conj(G)/N(G) = {lam : lam*beta/num in A} and
+    Lam2 = (beta)*conj(G)/N(G) = {lam : lam*num/beta in A}, which sum to A.
+    A non-invertible G (both None) means the plant is not stabilizable."""
+
+    ideal: QuadIdeal
+    lam1: Optional[QuadIdeal] = None
+    lam2: Optional[QuadIdeal] = None
+
+    @property
+    def invertible(self) -> bool:
+        return self.lam1 is not None
+
+    def least_witness(self) -> tuple[int, int]:
+        """(re, im) of the least lam in the order (max(|re|, |im|), re, im) with lam
+        in Lam1 and 1 - lam in Lam2: the coset lam0 + Lam1*Lam2 of any such lam0."""
+        rows1 = self.lam1.basis_rows()
+        coeffs = _express_in_lattice(rows1 + self.lam2.basis_rows(), (1, 0))
+        if coeffs is None:
+            raise ValueError("factor ideals of an invertible G must sum to A")
+        start = (coeffs[0] * rows1[0][0] + coeffs[1] * rows1[1][0], coeffs[1] * rows1[1][1])
+        return _least_in_coset(self.lam1.mul(self.lam2).basis_rows(), start)
+
+
+def factor_ideals(p: TransferFunction) -> FactorIdeals:
+    """G = (num, beta) of a nonzero quadratic plant, tested for invertibility."""
+    m = p.descriptor.m
+    big_g = ideal_from_gens(m, [p.num, p.den])
+    norm, conj = big_g.norm, big_g.conj()
+    if big_g.mul(conj) != QuadIdeal(m, norm, 0, norm):
+        return FactorIdeals(big_g)
+    lam1 = principal_ideal(m, p.num).mul(conj).divide_by_int(norm)
+    lam2 = principal_ideal(m, p.den).mul(conj).divide_by_int(norm)
+    return FactorIdeals(big_g, lam1, lam2)
+
+
 # ---------------------------------------------------------------------------
 # Bezout combinations over A
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DelayBezout:
+    """Bezout cofactors for generators g_i of A = Q[x^2, x^3].
+
+    ``qx`` satisfies sum qx_i*g_i = 1 over Q[x].  With the pivot the last
+    generator with g_pivot(0) != 0, every other cofactor moves by shifts_i*g_pivot,
+    shifts_i = -(qx_i's x^1 coefficient)/g_pivot(0)*x, and the pivot's by
+    -sum shifts_i*g_i, so ``cofactors`` lie in A with sum cofactors_i*g_i = 1.
+    """
+
+    qx: tuple[Poly, ...]
+    shifts: tuple[Poly, ...]
+    cofactors: tuple[Poly, ...]
+
+
+def delay_bezout(gens: Sequence[Poly]) -> Optional[DelayBezout]:
+    """Cofactors in A for generators in A, or None iff their gcd over Q[x] is not 1.
+
+    A = Q[x^2, x^3] is an integral extension inside Q[x], so elements of A are
+    comaximal in A iff their gcd over Q[x] is 1, and one degree-1 shift moves
+    the Q[x] cofactors into A.  Those fold ``ext_gcd_poly`` over the nonzero
+    generators in order (for two, its minimal-degree pair); zero generators
+    get zero cofactors.
+    """
+    live = [i for i, g in enumerate(gens) if not g.is_zero()]
+    if not live:
+        return None
+    qx = [Poly.zero()] * len(gens)
+    common, qx[live[0]] = gens[live[0]], Poly.one()
+    for k, i in enumerate(live[1:], start=1):
+        common, s, t = ext_gcd_poly(common, gens[i])
+        for j in live[:k]:
+            qx[j] = qx[j] * s
+        qx[i] = t
+    if common.degree != 0:
+        return None
+    if common != Poly.one():
+        qx = [c.scale(1 / common.coeff(0)) for c in qx]
+    # Some generator has a nonzero constant term: the identity at x = 0 says so.
+    pivot = max(i for i in live if gens[i].coeff(0) != 0)
+    shifts = [Poly.zero()] * len(gens)
+    cofactors = list(qx)
+    for i in live:
+        if i != pivot:
+            shifts[i] = Poly.from_list([ZERO, -qx[i].coeff(1) / gens[pivot].coeff(0)])
+            cofactors[i] = qx[i] + shifts[i] * gens[pivot]
+            cofactors[pivot] = cofactors[pivot] - shifts[i] * gens[i]
+    return DelayBezout(tuple(qx), tuple(shifts), tuple(cofactors))
+
 
 def bezout_combination(desc: RingDescriptor, gens: Sequence[RingElement]) -> Optional[list[RingElement]]:
     """Coefficients x_i in A with sum x_i * g_i = 1, or None if there are none.
@@ -285,15 +422,8 @@ def bezout_combination(desc: RingDescriptor, gens: Sequence[RingElement]) -> Opt
         if bezout is None:
             return None
         return [RingElement(desc, c) for c in bezout.cofactors]
-    rows = []
-    index = []  # generator index for each row pair
-    for i, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        x, y = int(g.value.re), int(g.value.im)
-        rows.append((x, y))
-        rows.append((-desc.m * y, x))
-        index.append(i)
+    rows = _gen_rows(desc.m, [g.value for g in gens])
+    index = [i for i, g in enumerate(gens) if not g.is_zero()]  # generator of each row pair
     if not rows:
         return None
     coeffs = _express_in_lattice(rows, (1, 0))
@@ -316,7 +446,6 @@ def bezout_combination(desc: RingDescriptor, gens: Sequence[RingElement]) -> Opt
 
 class CertKind(Enum):
     WITNESS = "witness"
-    IDEAL_IS_WHOLE_RING = "ideal_is_whole_ring"
     NOT_COPRIME = "not_coprime"
 
 
@@ -363,17 +492,11 @@ def are_coprime(a: RingElement, b: RingElement) -> CoprimeCertificate:
     if a.is_zero() and b.is_zero():
         raise ValueError("are_coprime(0, 0) is undefined")
     desc = a.descriptor
-    if desc.is_quadratic:
-        ideal = ideal_from_gens(desc.m, [g.value for g in (a, b) if not g.is_zero()])
-        if ideal.is_whole_ring():
-            combo = bezout_combination(desc, [a, b])
-            if combo is None:
-                raise ValueError("whole-ring ideal without a Bezout combination")
-            return CoprimeCertificate(CertKind.WITNESS, a, b, x=combo[0], y=combo[1])
-        return CoprimeCertificate(CertKind.NOT_COPRIME, a, b, ideal=ideal)
     combo = bezout_combination(desc, [a, b])
     if combo is not None:
         return CoprimeCertificate(CertKind.WITNESS, a, b, x=combo[0], y=combo[1])
+    if desc.is_quadratic:
+        return CoprimeCertificate(CertKind.NOT_COPRIME, a, b, ideal=ideal_from_gens(desc.m, [a.value, b.value]))
     common = poly_gcd(a.value, b.value)
     if common.coeff(0) != 0:
         common = common.scale(1 / common.coeff(0))
@@ -397,7 +520,6 @@ class CFVerdict:
     x: Optional[RingElement] = None
     y: Optional[RingElement] = None
     ideal: Optional[QuadIdeal] = None
-    bound: Optional[int] = None
     reason: Optional[str] = None
 
     def __post_init__(self):
@@ -416,74 +538,46 @@ class CFVerdict:
 # the reduced pair.  No checker re-verifies that argument yet.
 OUTSIDE_A_REASON = "reduced num/den pair lies outside A; a NotExists verdict is not yet certified"
 
+NOT_INVERTIBLE_REASON = "G = (num, den) is not invertible, so p is not stabilizable; NotExists is not yet certified"
 
-def cf_exists(p: TransferFunction, box: int = DEFAULT_COEFF_BOX) -> CFVerdict:
+
+def cf_exists(p: TransferFunction) -> CFVerdict:
     """Decide whether p = n'/d' with n', d' in A and x*n' + y*d' = 1.
 
-    Quadratic maximal orders are decisive: with G = (n, d), the quotient
-    ideals I = (n)*G^-1 and J = (d)*G^-1 are coprime integral ideals, and a
-    coprime factorization exists iff both are principal; otherwise the first
-    non-principal of (J, I) is the certificate.  Non-maximal quadratic rings
-    get a bounded search over denominator representatives (box on the integer
-    components), answering Exists or Unknown only.  Delay plants answer Exists
-    exactly when the reduced num and den both lie in A, and Unknown (with
-    ``OUTSIDE_A_REASON``) otherwise.
+    Quadratic plants, in every order: a generator z of G = (num, beta) gives
+    n' = num/z, d' = beta/z, which generate G/z = A; an invertible
+    non-principal G gives NotExists, certified by the non-principal quotient
+    ideal Lam2 = (beta)*G^-1; a non-invertible G gives Unknown.  Delay plants
+    answer Exists exactly when the reduced num and den both lie in A.
     """
     if p.is_zero():
         raise ValueError("cf_exists is undefined for the zero plant")
     desc = p.descriptor
     if desc.is_quadratic:
-        if desc.is_maximal_order:
-            n, d = p.num, p.den
-            big_g = ideal_from_gens(desc.m, [n, d])
-            ng = big_g.norm
-            quot_i = principal_ideal(desc.m, n).mul(big_g.conj()).divide_by_int(ng)
-            quot_j = principal_ideal(desc.m, d).mul(big_g.conj()).divide_by_int(ng)
-            gen_j = ideal_is_principal(quot_j)
-            if gen_j is None:
-                return CFVerdict(CFKind.NOT_EXISTS, p, ideal=quot_j)
-            gen_i = ideal_is_principal(quot_i)
-            if gen_i is None:
-                return CFVerdict(CFKind.NOT_EXISTS, p, ideal=quot_i)
-            # unit-correct the numerator generator so that p = n'/d' exactly
-            unit = contains(p * TransferFunction.make(desc, gen_j, gen_i))
-            if unit is None or unit.value.norm() != 1:
-                raise ValueError("quotient-ideal generators do not reproduce the plant up to a unit")
-            n_el = RingElement(desc, unit.value * gen_i)
-            d_el = RingElement(desc, gen_j)
-            cert = are_coprime(n_el, d_el)
-            if not cert.is_witness:
-                raise ValueError("quotient ideals of a maximal order must be comaximal")
-            return CFVerdict(CFKind.EXISTS, p, n=n_el, d=d_el, x=cert.x, y=cert.y)
-        # Non-maximal order: bounded denominator search.  n' = p*d' is
-        # integral iff beta divides both components of num*(u+v*w).
-        a1, a2 = int(p.num.re), int(p.num.im)
-        beta = int(p.den.re)
-        for u, v in box_spiral(box):
-            if u == 0 and v == 0:
-                continue
-            c1 = a1 * u - desc.m * a2 * v
-            c2 = a1 * v + a2 * u
-            if c1 % beta or c2 % beta:
-                continue
-            n_el = RingElement.quad(desc, c1 // beta, c2 // beta)
-            d_el = RingElement.quad(desc, u, v)
-            cert = are_coprime(n_el, d_el)
-            if cert.is_witness:
-                return CFVerdict(CFKind.EXISTS, p, n=n_el, d=d_el, x=cert.x, y=cert.y)
-        return CFVerdict(CFKind.UNKNOWN, p, bound=box)
-    # Delay ring.  Any polynomial representation of p is (w*num, w*den) over
-    # the reduced pair; a Bezout identity forces w constant, so only the
-    # canonical pair (up to scalars) can witness existence, and it does
-    # whenever it lies in A, being coprime over Q[x].
-    num, den = p.num, p.den
-    if num.coeff(1) != 0 or den.coeff(1) != 0:
-        return CFVerdict(CFKind.UNKNOWN, p, reason=OUTSIDE_A_REASON)
-    n_el = RingElement(desc, num)
-    d_el = RingElement(desc, den)
+        ideals = factor_ideals(p)
+        if not ideals.invertible:
+            return CFVerdict(CFKind.UNKNOWN, p, reason=NOT_INVERTIBLE_REASON)
+        z = ideal_is_principal(ideals.ideal)
+        if z is None:
+            return CFVerdict(CFKind.NOT_EXISTS, p, ideal=ideals.lam2)
+        # d' is unique up to a unit (+-1, and +-w when m = 1): take the one
+        # ideal_is_principal meets first, re > 0 (or re = 0 < im), least |im|, im >= 0.
+        units = [(1, 0), (-1, 0)] + ([(0, 1), (0, -1)] if desc.m == 1 else [])
+        d = min((p.den / z * QuadElem.of(*u, desc.m) for u in units),
+                key=lambda e: (e.re < 0 or (e.re == 0 and e.im < 0), abs(e.im), e.im < 0))
+        n_el, d_el = RingElement(desc, p.num * d / p.den), RingElement(desc, d)
+    else:
+        # Any polynomial representation of p is (w*num, w*den) over the
+        # reduced pair; a Bezout identity forces w constant, so only the
+        # canonical pair (up to scalars) can witness existence, and it does
+        # whenever it lies in A, being coprime over Q[x].
+        if p.num.coeff(1) != 0 or p.den.coeff(1) != 0:
+            return CFVerdict(CFKind.UNKNOWN, p, reason=OUTSIDE_A_REASON)
+        n_el = RingElement(desc, p.num)
+        d_el = RingElement(desc, p.den)
     cert = are_coprime(n_el, d_el)
     if not cert.is_witness:
-        raise ValueError("reduced num/den in A must be comaximal in A")
+        raise ValueError("coprime-factorization candidates must be comaximal in A")
     return CFVerdict(CFKind.EXISTS, p, n=n_el, d=d_el, x=cert.x, y=cert.y)
 
 
@@ -526,18 +620,16 @@ class NonexistenceReport:
         return self.cond_i and self.cond_ii == Verdict.HOLDS and self.cond_iii == Verdict.HOLDS
 
 
-def verify_nonexistence_instance(inst: NonexistenceInstance, box: int = DEFAULT_COEFF_BOX) -> NonexistenceReport:
+def verify_nonexistence_instance(inst: NonexistenceInstance) -> NonexistenceReport:
     """Check the three instance conditions and return per-condition verdicts.
 
     (i) a*b = a'*b' exactly.  (ii) a/a' is causal and has no coprime
-    factorization (the CF verdict is reported as-is; Unknown stays Unknown).
-    (iii) the instance certifies that the two generalized-factor ideals of the
-    plant together generate A.  A Bezout witness for the pair (a, b) does it
-    directly; failing that, a combination over the quadruple (a, b', b, a') is
-    sought, since a, b' always lie in the first factor ideal and b, a' in the
-    second.  Both searches are exact, so (iii) is always decided.  The split
-    witness (lambda1, lambda2) with lambda1 + lambda2 = 1 is returned and
-    re-verified for membership.
+    factorization (the CF verdict is reported as-is).  (iii) the two
+    generalized-factor ideals of the plant generate A: a Bezout witness for
+    (a, b) shows it, else one over the quadruple (a, b', b, a'), since a, b'
+    lie in the first factor ideal and b, a' in the second; both are exact.
+    The split witness (lambda1, lambda2), lambda1 + lambda2 = 1, is returned
+    and re-verified for membership.
     """
     desc = inst.a.descriptor
     if inst.a_prime.is_zero():
@@ -552,7 +644,7 @@ def verify_nonexistence_instance(inst: NonexistenceInstance, box: int = DEFAULT_
             CFKind.EXISTS, plant, n=RingElement.zero(desc), d=one, x=RingElement.zero(desc), y=one
         )
     else:
-        cf = cf_exists(plant, box=box)
+        cf = cf_exists(plant)
     if not causal or cf.kind == CFKind.EXISTS:
         cond_ii = Verdict.FAILS
     elif cf.kind == CFKind.NOT_EXISTS:

@@ -12,9 +12,11 @@ re-verified on construction.  Construction strategies:
   the integers N/gcd(N, den) and den always satisfy the memberships, and when
   they are coprime over Z an integer Bezout pair finishes the job.  They need
   not be coprime (e.g. (7+sqrt(5)i)/6 gives the pair (9, 6)), in which case
-  the spiral box search below takes over.
-* quadratic box search: enumerate lam over an origin-centered box and take
-  the first lam with lam in L1 and 1 - lam in L2.
+  the ideal witness below takes over.
+* quadratic ideal witness: when G = (num, den) is invertible, L1 and L2 are
+  the ideals (num)*G^-1 and (den)*G^-1 (``coprime.factor_ideals``), and the
+  least lam in L1 with 1 - lam in L2 is the least point of one coset of
+  L1*L2.  A non-invertible G means the plant is not stabilizable.
 * delay construction: divide out the gcd of the canonical in-ring
   representation (normalized to constant term 1; its degree is at most 1),
   re-inflate the reduced denominator by a multiplier 1 + s*x + c*s^2*x^2
@@ -22,10 +24,6 @@ re-verified on construction.  Construction strategies:
   the numerator, and take the Bezout cofactors in A from ``delay_bezout``.
 * reciprocal: when q = 1/p lies in A, (lam1, lam2) = (1 - q, q) with
   u = v = 1.  The constructions above give a unit lam1 there.
-
-Delay-ring Bezout identities are exact.  A = Q[x^2, x^3] is an integral
-extension inside Q[x], so elements of A are comaximal in A iff their gcd over
-Q[x] is 1, and one degree-1 shift moves the Q[x] cofactors into A.
 """
 
 from __future__ import annotations
@@ -34,12 +32,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Union
 
-from .exact import ZERO, Poly, ext_gcd_int, ext_gcd_poly, poly_divmod, poly_gcd
+from .coprime import QuadIdeal, delay_bezout, factor_ideals
+from .exact import ZERO, Poly, ext_gcd_int, poly_divmod, poly_gcd
 from .rings import RingElement, TransferFunction, causal_representation, contains
-
-DEFAULT_SEARCH_BOX = 128
 
 
 def _multiplier_constants():
@@ -49,70 +46,6 @@ def _multiplier_constants():
     while True:
         yield Fraction(2, k * k)
         k += 1
-
-
-def box_spiral(box: int):
-    """Integer pairs (u, v) ordered by Chebyshev shell, lexicographically inside each shell."""
-    for shell in range(box + 1):
-        if shell == 0:
-            yield (0, 0)
-            continue
-        for u in range(-shell, shell + 1):
-            if abs(u) == shell:
-                for v in range(-shell, shell + 1):
-                    yield (u, v)
-            else:
-                yield (u, -shell)
-                yield (u, shell)
-
-
-@dataclass(frozen=True)
-class DelayBezout:
-    """Bezout cofactors for generators g_i of A = Q[x^2, x^3].
-
-    ``qx`` satisfies sum qx_i*g_i = 1 over Q[x].  The pivot is the last
-    generator with a nonzero constant term.  Every other cofactor moves by
-    shifts_i*g_pivot, with shifts_i = -(qx_i's x^1 coefficient)/g_pivot(0)*x,
-    and the pivot's cofactor by -sum shifts_i*g_i.  The resulting
-    ``cofactors`` lie in A and satisfy sum cofactors_i*g_i = 1.
-    """
-
-    qx: tuple[Poly, ...]
-    shifts: tuple[Poly, ...]
-    cofactors: tuple[Poly, ...]
-
-
-def delay_bezout(gens: Sequence[Poly]) -> Optional[DelayBezout]:
-    """Cofactors in A for generators in A, or None iff their gcd over Q[x] is not 1.
-
-    The Q[x] cofactors fold ``ext_gcd_poly`` over the nonzero generators in
-    order, so for two nonzero generators they are its minimal-degree pair.
-    Zero generators get zero cofactors.
-    """
-    live = [i for i, g in enumerate(gens) if not g.is_zero()]
-    if not live:
-        return None
-    qx = [Poly.zero()] * len(gens)
-    common, qx[live[0]] = gens[live[0]], Poly.one()
-    for k, i in enumerate(live[1:], start=1):
-        common, s, t = ext_gcd_poly(common, gens[i])
-        for j in live[:k]:
-            qx[j] = qx[j] * s
-        qx[i] = t
-    if common.degree != 0:
-        return None
-    if common != Poly.one():
-        qx = [c.scale(1 / common.coeff(0)) for c in qx]
-    # Some generator has a nonzero constant term: the identity at x = 0 says so.
-    pivot = max(i for i in live if gens[i].coeff(0) != 0)
-    shifts = [Poly.zero()] * len(gens)
-    cofactors = list(qx)
-    for i in live:
-        if i != pivot:
-            shifts[i] = Poly.from_list([ZERO, -qx[i].coeff(1) / gens[pivot].coeff(0)])
-            cofactors[i] = qx[i] + shifts[i] * gens[pivot]
-            cofactors[pivot] = cofactors[pivot] - shifts[i] * gens[i]
-    return DelayBezout(tuple(qx), tuple(shifts), tuple(cofactors))
 
 
 class Which(Enum):
@@ -187,11 +120,11 @@ class ReciprocalTrace:
 
 
 @dataclass(frozen=True)
-class SearchTrace:
-    """Provenance of a witness found by search rather than construction."""
+class IdealTrace:
+    """The factor ideals L1 and L2 behind a quadratic ideal witness."""
 
-    method: str
-    bound: int
+    lam1: QuadIdeal
+    lam2: QuadIdeal
 
 
 @dataclass(frozen=True)
@@ -203,7 +136,7 @@ class WitnessPair:
     lam2: RingElement
     u: RingElement
     v: RingElement
-    trace: Union[QuadraticTrace, DelayTrace, ReciprocalTrace, SearchTrace]
+    trace: Union[QuadraticTrace, DelayTrace, ReciprocalTrace, IdealTrace]
 
     def __post_init__(self):
         desc = self.plant.descriptor
@@ -228,7 +161,7 @@ def construct_witnesses_quadratic(p: TransferFunction) -> Optional[WitnessPair]:
     """Fast-path witnesses for a quadratic-ring plant outside A.
 
     Returns None when the integer pair (N/g, beta) is not coprime; the caller
-    falls back to the box search.
+    falls back to the ideal witness.
     """
     desc = p.descriptor
     if not desc.is_quadratic:
@@ -257,33 +190,17 @@ def construct_witnesses_quadratic(p: TransferFunction) -> Optional[WitnessPair]:
     )
 
 
-def search_witnesses_quadratic(p: TransferFunction, box: int = DEFAULT_SEARCH_BOX) -> Optional[WitnessPair]:
-    """First lam = u + v*w in the spiral with lam in L1 and 1 - lam in L2.
-
-    The scan runs on integer congruences (divisibility of the components of
-    lam*conj(num)*beta by N and of (1-lam)*num by beta); the returned pair is
-    re-verified through the exact membership predicate on construction.
-    """
-    desc = p.descriptor
-    m = desc.m
-    a1, a2 = int(p.num.re), int(p.num.im)
-    beta = int(p.den.re)
-    n_norm = a1 * a1 + m * a2 * a2
-    one = RingElement.one(desc)
-    for u, v in box_spiral(box):
-        c1 = beta * (u * a1 + m * v * a2)
-        c2 = beta * (v * a1 - u * a2)
-        if c1 % n_norm or c2 % n_norm:
-            continue
-        t1 = (1 - u) * a1 + m * v * a2
-        t2 = (1 - u) * a2 - v * a1
-        if t1 % beta or t2 % beta:
-            continue
-        lam = RingElement.quad(desc, u, v)
-        return WitnessPair(
-            plant=p, lam1=lam, lam2=one - lam, u=one, v=one, trace=SearchTrace("box_spiral", box)
-        )
-    return None
+def search_witnesses_quadratic(p: TransferFunction) -> Optional[WitnessPair]:
+    """The least lam = u + v*w in the order (max(|u|, |v|), u, v) with lam in L1 and
+    1 - lam in L2; None iff G = (num, den) is not invertible (p not stabilizable)."""
+    ideals = factor_ideals(p)
+    if not ideals.invertible:
+        return None
+    one = RingElement.one(p.descriptor)
+    lam = RingElement.quad(p.descriptor, *ideals.least_witness())
+    return WitnessPair(
+        plant=p, lam1=lam, lam2=one - lam, u=one, v=one, trace=IdealTrace(ideals.lam1, ideals.lam2)
+    )
 
 
 def construct_witnesses_delay(p: TransferFunction) -> WitnessPair:
@@ -345,32 +262,24 @@ def construct_witnesses_delay(p: TransferFunction) -> WitnessPair:
 
 
 def search_witnesses_delay(p: TransferFunction) -> WitnessPair:
-    """The delay construction under the name of the retired bounded search.
-
-    Nothing in the package calls it; ``bench/spans.py`` still traces the name.
-    """
+    """The delay construction under a retired name that ``bench/spans.py`` still traces."""
     return construct_witnesses_delay(p)
 
 
-def witness_candidates(p: TransferFunction, box: int = DEFAULT_SEARCH_BOX) -> Iterator[WitnessPair]:
+def witness_candidates(p: TransferFunction) -> Iterator[WitnessPair]:
     """The witnesses synthesis tries, in order, for a causal plant outside A.
 
     First the construction for the plant's ring.  When 1/p lies in A its
     lam1 is a unit, which with r1 = 0 leaves a2 = 0 and a zero controller
     denominator at every omega, so the reciprocal witness comes next.
-    Quadratic rings end with the box search, which covers the fast path's
-    gaps.
+    Quadratic rings end with the ideal witness, which exists exactly when the
+    plant is stabilizable.
     """
     if p.descriptor.is_delay:
-        yield construct_witnesses_delay(p)
+        makers = (construct_witnesses_delay, reciprocal_witness)
     else:
-        witness = construct_witnesses_quadratic(p)
-        if witness is not None:
-            yield witness
-    witness = reciprocal_witness(p)
-    if witness is not None:
-        yield witness
-    if p.descriptor.is_quadratic:
-        witness = search_witnesses_quadratic(p, box=box)
+        makers = (construct_witnesses_quadratic, reciprocal_witness, search_witnesses_quadratic)
+    for make in makers:
+        witness = make(p)
         if witness is not None:
             yield witness

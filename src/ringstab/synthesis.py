@@ -28,17 +28,20 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .closedloop import FeedbackMatrix, feedback_matrix
-from .elemfactor import DEFAULT_SEARCH_BOX, WitnessPair, witness_candidates
+from .coprime import QuadIdeal, factor_ideals
+from .elemfactor import WitnessPair, witness_candidates
 from .exact import ext_gcd_int
 from .rings import RingElement, TransferFunction, contains, is_causal
 
 
 class SynthesisError(Exception):
-    """Synthesis failed; ``condition`` names the first unsatisfied condition."""
+    """Synthesis failed; ``condition`` names the first unsatisfied condition and
+    ``certificate`` holds the non-invertible G = (num, den) of ``not_stabilizable``."""
 
-    def __init__(self, message: str, condition: Optional[str] = None):
+    def __init__(self, message: str, condition: Optional[str] = None, certificate: Optional[QuadIdeal] = None):
         super().__init__(message)
         self.condition = condition
+        self.certificate = certificate
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,6 @@ class SynthesisConfig:
     omega_max: int = 32
     r1: Optional[RingElement] = None
     r2: Optional[RingElement] = None
-    search_box: int = DEFAULT_SEARCH_BOX
 
     def __post_init__(self):
         if self.omega_max < 1:
@@ -236,7 +238,7 @@ def synthesize(p: TransferFunction, cfg: SynthesisConfig = SynthesisConfig()) ->
 
     last_failure = "witness"
     tried_witness = False
-    for witness in witness_candidates(p, box=cfg.search_box):
+    for witness in witness_candidates(p):
         tried_witness = True
         if witness.v.is_zero() and r1.is_zero():
             # A construction with lam1 a unit (1/p in A) and u = 1/lam1: both
@@ -266,8 +268,10 @@ def synthesize(p: TransferFunction, cfg: SynthesisConfig = SynthesisConfig()) ->
                     a1=a1, a2=a2, lam1=lam1, lam2=lam2, r1=r1, r2=r2,
                     condition_ii_products=products, witness=witness,
                 )
-    if not tried_witness:
-        raise SynthesisError("witness search exhausted its bound", condition="witness")
+    if not tried_witness:  # only a quadratic plant with a non-invertible G gets no candidate
+        ideal = factor_ideals(p).ideal
+        raise SynthesisError(f"plant is not stabilizable: G = (num, den) = {ideal} is not invertible",
+                             condition="not_stabilizable", certificate=ideal)
     raise SynthesisError(
         f"no omega up to {cfg.omega_max} satisfied condition ({last_failure})",
         condition=last_failure,

@@ -2,10 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from ringstab.cli import EXIT_OK, EXIT_PARSE, EXIT_UNKNOWN, PlantFile, main
+from ringstab.cli import EXIT_OK, EXIT_PARSE, EXIT_SYNTHESIS, EXIT_UNKNOWN, PlantFile, main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -35,6 +37,15 @@ with open(fx("delay_plant.json")) as fh:
     DELAY_DOC = json.load(fh)
 
 
+def quad_doc(m, re, im, den):
+    return {"ring": {"kind": "quadratic", "m": m},
+            "plant": {"num": {"re": str(re), "im": str(im)}, "den": {"re": str(den), "im": "0"}}}
+
+
+# G = (3+i3, 18) is not invertible in Z[sqrt(3)i]: the plant is not stabilizable
+NOT_STABILIZABLE_DOC = quad_doc(3, 3, 1, 18)
+
+
 class TestAnalyze:
     def test_quadratic_plant(self, capsys):
         code, doc = run_json(capsys, "analyze", fx("quadratic_plant.json"))
@@ -59,6 +70,12 @@ class TestAnalyze:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "analyze", fx("nope.json"))
         assert code == EXIT_PARSE
+
+    def test_not_stabilizable_plant(self, capsys, tmp_path):
+        code, doc = run_json(capsys, "analyze", plant_file(tmp_path, NOT_STABILIZABLE_DOC))
+        assert code == EXIT_OK
+        assert doc["stabilizable"] is False
+        assert doc["certificate_ideal"] == {"basis": [[6, 0], [3, 1]], "norm": 6, "m": 3}
 
     def test_noncausal_reported_not_crashed(self, capsys):
         code, doc = run_json(capsys, "analyze", fx("noncausal.json"))
@@ -108,6 +125,20 @@ class TestSynthesize:
         assert synth["witness"]["trace"]["kind"] == "reciprocal"
         code, checked = run_json(capsys, "verify", path, synth["controller"]["display"])
         assert code == EXIT_OK and checked["stable"] is True
+
+    def test_not_stabilizable_plant(self, capsys, tmp_path):
+        code, doc = run_json(capsys, "synthesize", plant_file(tmp_path, NOT_STABILIZABLE_DOC))
+        assert code == EXIT_SYNTHESIS
+        assert doc["failed_condition"] == "not_stabilizable"
+        assert doc["certificate_ideal"] == {"basis": [[6, 0], [3, 1]], "norm": 6, "m": 3}
+
+    def test_witness_beyond_any_small_box(self, capsys, tmp_path):
+        # the least witness 424-108*i13 has Chebyshev norm 424
+        code, doc = run_json(capsys, "synthesize", plant_file(tmp_path, quad_doc(13, 71, -46, 99)))
+        assert code == EXIT_OK
+        assert doc["omega"] == 1
+        assert doc["witness"]["lambda1"] == "424-108*i13"
+        assert doc["witness"]["trace"]["kind"] == "factor_ideals"
 
     def test_latex(self, capsys):
         code, out, _ = run(capsys, "synthesize", fx("quadratic_plant.json"), "--latex")
@@ -197,11 +228,12 @@ class TestFamily:
         assert code == EXIT_PARSE
         assert "square" in err
 
-    def test_non_maximal_parameter_reports_unknown(self, capsys):
-        # m = 20 is not square-free: the CF checker only answers Unknown there
+    def test_non_maximal_parameter_holds(self, capsys):
+        # m = 20 is not square-free; G = (1+i20, 3) is invertible and not principal
         code, doc = run_json(capsys, "family", "--x", "3", "--y", "7")
-        assert code == EXIT_UNKNOWN
-        assert doc["conditions"]["ii"] == "unknown"
+        assert code == EXIT_OK
+        assert doc["conditions"]["ii"] == "holds"
+        assert doc["conditions"]["ii_cf"]["verdict"] == "not_exists"
         assert doc["conditions"]["i"] == "holds"
         assert doc["conditions"]["iii"] == "holds"
         assert doc["stable"] is True
@@ -251,12 +283,13 @@ class TestReports:
         (["synthesize", "{plant}"], dict(DELAY_DOC, config={"omega_max": 0})),
         (["synthesize", "{plant}", "--omega-max", "-3"], DELAY_DOC),
         (["synthesize", "{plant}", "--omega-max", "0"], DELAY_DOC),
-        (["analyze", "{plant}", "--box", "0"], DELAY_DOC),
-        (["coprime-factorization", "{plant}", "--box", "0"], DELAY_DOC),
         (["family", "--x", "2", "--y", "3", "--omega-max", "0"], None),
+        (["analyze", "{plant}"], dict(quad_doc(5, 1, 1, 2), ring={"kind": "quadratic", "m": 2.5})),
+        (["analyze", "{plant}"], dict(quad_doc(5, 1, 1, 2), ring={"kind": "quadratic", "m": True})),
+        (["analyze", "{plant}"], dict(quad_doc(5, 1, 1, 2), ring={"kind": "quadratic", "m": "5"})),
     ], ids=["r1-degree-one", "r1-unparsable", "plant-list", "ring-string", "coeffs-number", "coeffs-string",
             "re-list", "config-omega-zero",
-            "omega-negative", "omega-zero", "box-zero", "cf-box-zero", "family-omega-zero"])
+            "omega-negative", "omega-zero", "family-omega-zero", "m-float", "m-bool", "m-string"])
     def test_input_errors_exit_2_with_one_line(self, capsys, tmp_path, argv, doc):
         path = plant_file(tmp_path, doc) if doc is not None else None
         code, out, err = run(capsys, *[path if a == "{plant}" else a for a in argv])
@@ -267,3 +300,21 @@ class TestReports:
     def test_bound_option_removed(self, capsys):
         assert main(["synthesize", fx("delay_plant.json"), "--bound", "8"]) == EXIT_PARSE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("cmd", ["analyze", "synthesize", "coprime-factorization"])
+    def test_box_option_removed(self, capsys, cmd):
+        assert main([cmd, fx("quadratic_plant.json"), "--box", "8"]) == EXIT_PARSE
+        capsys.readouterr()
+
+    def test_closed_pipe_is_not_a_traceback(self):
+        # the reader is gone before the report is written
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ringstab.cli", "synthesize", fx("quadratic_plant.json")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == EXIT_OK
+        assert err == ""

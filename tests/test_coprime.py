@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from ringstab.coprime import (
+    NOT_INVERTIBLE_REASON,
     OUTSIDE_A_REASON,
     CertKind,
     CFKind,
@@ -15,6 +16,7 @@ from ringstab.coprime import (
     are_coprime,
     bezout_combination,
     cf_exists,
+    factor_ideals,
     generate_family_instance,
     ideal_from_gens,
     ideal_is_principal,
@@ -101,10 +103,12 @@ class TestPrincipality:
         gen = ideal_is_principal(principal_ideal(5, z))
         assert gen in (z, -z)
 
-    def test_non_maximal_order_refused(self):
-        ideal = ideal_from_gens(3, [QuadElem.of(2, 0, 3)])
-        with pytest.raises(ValueError):
-            ideal_is_principal(ideal)
+    def test_non_maximal_order_principal(self):
+        # a generator z has N(z) = [A : zA] = norm in every order, so the
+        # norm-form enumeration is complete outside maximal orders too
+        assert ideal_is_principal(ideal_from_gens(3, [QuadElem.of(2, 0, 3)])) == QuadElem.of(2, 0, 3)
+        ideal = ideal_from_gens(20, [QuadElem.of(3, 0, 20), QuadElem.of(1, 1, 20)])
+        assert ideal_is_principal(ideal) is None  # x^2 + 20*y^2 = 3 has no solution
 
     def test_random_principal_ideals_recognized(self):
         rng = random.Random(77)
@@ -206,7 +210,6 @@ class TestCFExists:
         p = TransferFunction.make(D, Poly.of(1, 0, 0, -1), Poly.of(1, 0, -1))
         verdict = cf_exists(p)
         assert verdict.kind == CFKind.UNKNOWN
-        assert verdict.bound is None
         assert verdict.reason == OUTSIDE_A_REASON
 
     def test_degree_twelve_delay_plant_exists(self):
@@ -249,11 +252,38 @@ class TestCFExists:
         with pytest.raises(ValueError):
             cf_exists(TransferFunction.zero(Z5))
 
-    def test_non_maximal_order_bounded_mode(self):
+    def test_non_maximal_order_exists(self):
         desc = quadratic(3)  # 3 mod 4: not the maximal order
         p = TransferFunction.make(desc, QuadElem.of(3, 0, 3), QuadElem.of(2, 0, 3))
-        verdict = cf_exists(p, box=10)
-        assert verdict.kind == CFKind.EXISTS  # integer Bezout found by search
+        verdict = cf_exists(p)
+        assert verdict.kind == CFKind.EXISTS  # G = (3, 2) = A, generator 1
+        assert (verdict.n, verdict.d) == (RingElement.quad(desc, 3), RingElement.quad(desc, 2))
+
+    def test_non_maximal_order_not_exists(self):
+        # G = (1+i20, 3) is invertible of norm 3, and x^2 + 20*y^2 = 3 has no solution
+        desc = quadratic(20)
+        p = TransferFunction.make(desc, QuadElem.of(1, 1, 20), QuadElem.of(3, 0, 20))
+        verdict = cf_exists(p)
+        assert verdict.kind == CFKind.NOT_EXISTS
+        assert verdict.ideal == ideal_from_gens(20, [QuadElem.of(3, 0, 20), QuadElem.of(1, -1, 20)])
+
+    def test_non_invertible_ideal_unknown(self):
+        # G = (3+i3, 18) in Z[sqrt(3)i]: G*conj(G) != N(G)*A, so p is not stabilizable
+        desc = quadratic(3)
+        p = TransferFunction.make(desc, QuadElem.of(3, 1, 3), QuadElem.of(18, 0, 3))
+        ideals = factor_ideals(p)
+        assert not ideals.invertible and ideals.ideal.norm == 6
+        assert ideals.ideal.mul(ideals.ideal.conj()) != principal_ideal(3, QuadElem.of(6, 0, 3))
+        verdict = cf_exists(p)
+        assert verdict.kind == CFKind.UNKNOWN
+        assert verdict.reason == NOT_INVERTIBLE_REASON
+
+    def test_principal_ideal_generator_divides_out(self):
+        # (1+2*i5)/21 = 1/(1-2*i5): G = (1+2*i5, 21) = (1+2*i5) is principal
+        p = TransferFunction.make(Z5, QuadElem.of(1, 2, 5), QuadElem.of(21, 0, 5))
+        verdict = cf_exists(p)
+        assert verdict.kind == CFKind.EXISTS
+        assert (verdict.n, verdict.d) in ((q5(1), q5(1, -2)), (q5(-1), q5(-1, 2)))
 
     def test_exists_verdict_rejects_bad_data(self):
         from ringstab.coprime import CFVerdict
@@ -382,6 +412,7 @@ class TestFamily:
                     continue
                 report = verify_nonexistence_instance(generate_family_instance(FamilyParams(x, y)))
                 assert report.cond_i, (x, y)
+                assert report.cond_ii == Verdict.HOLDS, (x, y)  # non-maximal m = xy - 1 included
                 assert report.cond_iii == Verdict.HOLDS, (x, y)
 
     def test_ordering_violation_rejected(self):

@@ -4,16 +4,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from test_coprime import _brute_force_cf_search
 
+from ringstab.coprime import CFKind, cf_exists, delay_bezout
 from ringstab.elemfactor import (
+    IdealTrace,
     LambdaSet,
     ReciprocalTrace,
-    SearchTrace,
     Which,
     WitnessPair,
     construct_witnesses_delay,
     construct_witnesses_quadratic,
-    delay_bezout,
     lambda_member,
     reciprocal_witness,
     search_witnesses_quadratic,
@@ -92,7 +93,8 @@ class TestQuadraticSearch:
         w = search_witnesses_quadratic(P_GAP)
         assert w.lam1 == q5(2, -1)  # frozen first hit of the canonical spiral
         assert w.lam2 == q5(-1, 1)
-        assert isinstance(w.trace, SearchTrace) and w.trace.method == "box_spiral"
+        assert isinstance(w.trace, IdealTrace)
+        assert (w.trace.lam1.basis_rows(), w.trace.lam2.basis_rows()) == ([(9, 0), (7, 1)], [(6, 0), (5, 1)])
         assert w.lam1 == _spiral_oracle(P_GAP, 10)
 
     def test_classical_plant_search(self):
@@ -106,8 +108,51 @@ class TestQuadraticSearch:
         assert lambda_member(q5(5, 2), LambdaSet(P_GAP, Which.I1))
         assert lambda_member(q5(-4, -2), LambdaSet(P_GAP, Which.I2))
 
-    def test_empty_box(self):
-        assert search_witnesses_quadratic(P_Z5, box=0) is None
+    def test_not_stabilizable_plant_has_no_witness(self):
+        # G = (3+i3, 18) is not invertible in the non-maximal order Z[sqrt(3)i]
+        z3 = quadratic(3)
+        p = TransferFunction.make(z3, QuadElem.of(3, 1, 3), QuadElem.of(18, 0, 3))
+        assert search_witnesses_quadratic(p) is None
+        assert list(witness_candidates(p)) == []
+
+    def test_witness_far_from_the_origin(self):
+        z13 = quadratic(13)
+        p = TransferFunction.make(z13, QuadElem.of(71, -46, 13), QuadElem.of(99, 0, 13))
+        w = search_witnesses_quadratic(p)
+        assert w.lam1 == RingElement.quad(z13, 424, -108)
+
+    def test_differential_against_oracles(self):
+        # seeded plants over non-maximal orders: the ideal witness against the
+        # membership spiral, the CF verdict against the brute-force search
+        rng = random.Random(79)
+        kinds = {kind: 0 for kind in CFKind}
+        compared = 0
+        for m in (3, 7, 11, 15, 20, 27):
+            desc = quadratic(m)
+            done = 0
+            while done < 12:
+                a1, a2, beta = rng.randint(-9, 9), rng.randint(-3, 3), rng.randint(2, 8)
+                p = TransferFunction.make(desc, QuadElem.of(a1, a2, m), QuadElem.of(beta, 0, m))
+                if p.is_zero() or contains(p) is not None:
+                    continue
+                done += 1
+                w = search_witnesses_quadratic(p)
+                shell = 9 if w is None else int(max(abs(w.lam1.value.re), abs(w.lam1.value.im)))
+                oracle = _spiral_oracle(p, min(shell, 8))
+                if shell <= 8:
+                    assert w.lam1 == oracle, p
+                    compared += 1
+                else:
+                    assert oracle is None, p
+                verdict = cf_exists(p)
+                kinds[verdict.kind] += 1
+                assert (verdict.kind == CFKind.UNKNOWN) == (w is None), p
+                found = _brute_force_cf_search(p, box=12)
+                if found is not None:
+                    assert verdict.kind == CFKind.EXISTS, p
+                if verdict.kind == CFKind.NOT_EXISTS:
+                    assert found is None, p
+        assert compared > 30 and min(kinds.values()) > 3, (compared, kinds)
 
 
 def _spiral_oracle(p, box):
@@ -258,11 +303,11 @@ class TestReciprocalWitness:
 class TestWitnessPairValidation:
     def test_bad_bezout_rejected(self):
         with pytest.raises(ValueError):
-            WitnessPair(P_Z5, q5(3), q5(2), q5(1), q5(1), SearchTrace("manual", 0))
+            WitnessPair(P_Z5, q5(3), q5(2), q5(1), q5(1), ReciprocalTrace(q5(1)))
 
     def test_bad_membership_rejected(self):
         with pytest.raises(ValueError):
-            WitnessPair(P_Z5, q5(1), q5(0), q5(1), q5(1), SearchTrace("manual", 0))
+            WitnessPair(P_Z5, q5(1), q5(0), q5(1), q5(1), ReciprocalTrace(q5(1)))
 
     def test_instance_members_in_their_factors(self):
         # for a verified instance, a sits in the first factor set and b in the

@@ -8,7 +8,7 @@ import pytest
 
 from ringstab import synthesis
 from ringstab.closedloop import is_stable
-from ringstab.elemfactor import ReciprocalTrace, construct_witnesses_delay, construct_witnesses_quadratic
+from ringstab.elemfactor import IdealTrace, ReciprocalTrace, construct_witnesses_delay, construct_witnesses_quadratic
 from ringstab.exact import Poly, QuadElem
 from ringstab.rings import RingElement, TransferFunction, delay, quadratic
 from ringstab.synthesis import (
@@ -129,7 +129,16 @@ class TestSynthesize:
         result = synthesize(p)
         assert not result.trivial
         assert is_stable(p, result.controller)
-        assert result.witness.trace.method == "box_spiral"
+        assert isinstance(result.witness.trace, IdealTrace)
+        assert result.witness.lam1 == q5(2, -1)
+
+    def test_not_stabilizable_plant(self):
+        # G = (3+i3, 18) is not invertible in Z[sqrt(3)i]
+        p = TransferFunction.make(quadratic(3), QuadElem.of(3, 1, 3), QuadElem.of(18, 0, 3))
+        with pytest.raises(SynthesisError) as info:
+            synthesize(p)
+        assert info.value.condition == "not_stabilizable"
+        assert info.value.certificate.basis_rows() == [(6, 0), (3, 1)]
 
     def test_unit_inverse_plant(self):
         # 1/p in A makes the fast-path witness degenerate (a2 = 0); the
