@@ -47,7 +47,6 @@ from .elemfactor import (
     witness_candidates,
 )
 from .exact import (
-    BigRat,
     Poly,
     QuadElem,
     ext_gcd_int,

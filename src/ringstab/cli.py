@@ -141,14 +141,16 @@ class PlantFile:
         config = doc.get("config", {})
         if not isinstance(config, dict):
             raise PlantFileError(f"{where}: config must be an object")
+        unknown = sorted(set(config) - {"r1", "r2"})
+        if unknown:
+            raise PlantFileError(f"{where}: unknown config key {unknown[0]!r} (allowed: r1, r2)")
         config = dict(config)
-        for key in ("r1", "r2"):
-            if key in config:
-                value = _parse_elem_value(desc, config[key], f"{where}: config.{key}")
-                try:
-                    config[key] = RingElement(desc, value)
-                except ValueError as exc:
-                    raise PlantFileError(f"{where}: config.{key}: {exc}")
+        for key in config:
+            value = _parse_elem_value(desc, config[key], f"{where}: config.{key}")
+            try:
+                config[key] = RingElement(desc, value)
+            except ValueError as exc:
+                raise PlantFileError(f"{where}: config.{key}: {exc}")
         return PlantFile(desc, plant, controller, config)
 
     def to_dict(self) -> dict:
@@ -320,27 +322,16 @@ class Report:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _count(args, name: str, config: dict, default: int) -> int:
-    """A positive integer from --<name>, else from config.<name>, else the default."""
-    value, where = getattr(args, name, None), "--" + name.replace("_", "-")
-    if value is None:
-        value, where = config.get(name, default), f"config.{name}"
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise PlantFileError(f"{where} must be a positive integer, got {value!r}")
-    return value
-
-
 def _config_from(pf: PlantFile, args) -> SynthesisConfig:
-    cfg = pf.config
-    r = {key: cfg.get(key) for key in ("r1", "r2")}
-    for key in r:
-        text = getattr(args, key, None)
+    r = dict(pf.config)
+    for key in ("r1", "r2"):
+        text = getattr(args, key)
         if text is not None:
             try:
                 r[key] = parse_ring_element(pf.descriptor, text)
             except (ValueError, ZeroDivisionError) as exc:
                 raise PlantFileError(f"--{key}: {exc}")
-    return SynthesisConfig(omega_max=_count(args, "omega_max", cfg, SynthesisConfig.omega_max), **r)
+    return SynthesisConfig(**r)
 
 
 def cmd_analyze(args, rep: Report) -> None:
@@ -370,7 +361,6 @@ def cmd_analyze(args, rep: Report) -> None:
             {"n": str(n), "d": str(d), "gcd": _poly_str(g)},
             f"A-representation: n = {n}, d = {d}, gcd = {_poly_str(g)}",
         )
-    _config_from(pf, args)  # rejects a bad --omega-max or config section
     witness = next(witness_candidates(p), None)
     if witness is None:  # only a quadratic plant with a non-invertible G gets no candidate
         ideal = cp.factor_ideals(p).ideal
@@ -509,9 +499,8 @@ def cmd_family(args, rep: Report) -> None:
         rep.say(f"  split witness: lambda1 = {report.lambda1}, lambda2 = {report.lambda2}")
     plant = report.plant
     rep.put("plant", _tf_json(plant), f"plant: {plant}")
-    cfg = SynthesisConfig(omega_max=_count(args, "omega_max", {}, SynthesisConfig.omega_max))
     try:
-        result = synthesize(plant, cfg)
+        result = synthesize(plant)
     except SynthesisError as exc:
         rep.put("error", str(exc), f"synthesis failed: {exc}")
         rep.status = EXIT_SYNTHESIS
@@ -523,8 +512,19 @@ def cmd_family(args, rep: Report) -> None:
         rep.status = EXIT_UNKNOWN
 
 
+def _one_line(message) -> str:
+    return "error: " + " ".join(str(message).splitlines())
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one ``error:`` line and exit 2 (subcommands inherit this)."""
+
+    def error(self, message):
+        self.exit(EXIT_PARSE, _one_line(message) + "\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ringstab",
         description="Exact stabilizability analysis and controller synthesis over "
         "Z[sqrt(m)i] and the no-unit-delay ring Q[x^2,x^3].",
@@ -539,12 +539,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="causality, canonical form, factor witnesses")
     common(sp)
-    sp.add_argument("--omega-max", type=int, dest="omega_max")
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("synthesize", help="construct and verify a stabilizing controller")
     common(sp)
-    sp.add_argument("--omega-max", type=int, dest="omega_max")
     sp.add_argument("--r1", help="free parameter r1 (ring element literal)")
     sp.add_argument("--r2", help="free parameter r2 (ring element literal)")
     sp.set_defaults(func=cmd_synthesize)
@@ -562,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, plantfile=False)
     sp.add_argument("--x", type=int, required=True)
     sp.add_argument("--y", type=int, required=True)
-    sp.add_argument("--omega-max", type=int, dest="omega_max")
     sp.set_defaults(func=cmd_family)
     return parser
 
@@ -578,7 +575,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args.func(args, rep)
     except PlantFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_one_line(exc), file=sys.stderr)
         return EXIT_PARSE
     try:
         print(rep.finish(as_json=args.json))

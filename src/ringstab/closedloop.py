@@ -118,5 +118,6 @@ def extract_controller(h: FeedbackMatrix) -> TransferFunction:
         raise ZeroDivisionError("controller extraction requires h11 and h22 nonzero")
     c1 = h.h21 / h.h11
     c2 = h.h21 / h.h22
-    assert c1 == c2, "h21/h11 and h21/h22 must agree"
+    if c1 != c2:
+        raise ValueError("h21/h11 and h21/h22 must agree")
     return c1

@@ -41,7 +41,7 @@ from .rings import RingElement, TransferFunction, causal_representation, contain
 
 def _multiplier_constants():
     # 2/k^2 for k = 3, 4, 5, ...; only finitely many constants collide with a
-    # root of the numerator, so the scan terminates.
+    # root of the reduced pair, so the scan terminates.
     k = 3
     while True:
         yield Fraction(2, k * k)
@@ -101,9 +101,9 @@ class DelayTrace:
     multiplier: Poly              # 1 + slope*x + constant*slope^2*x^2
     num_reduced: Poly             # n / gcd
     den_reduced: Poly             # d / gcd
-    num_inflated: Poly            # num_reduced * multiplier
-    den_inflated: Poly            # den_reduced * multiplier; the second witness
-    cof_num: Poly                 # cof_num*n + cof_den*den_inflated = 1
+    num_inflated: Poly            # num_reduced * multiplier; lam1 when gcd | den_reduced
+    den_inflated: Poly            # den_reduced * multiplier; lam2 otherwise
+    cof_num: Poly                 # cof_num*lam1 + cof_den*lam2 = 1
     cof_den: Poly
     shift: Poly                   # degree-1 shift repairing the cofactors
     cof_num0: Fraction
@@ -207,7 +207,11 @@ def construct_witnesses_delay(p: TransferFunction) -> WitnessPair:
     """Delay-ring witnesses via the gcd/multiplier/Bezout-shift construction.
 
     Works on the canonical inflated representation (n, d) of the causal plant,
-    whose gcd over Q[x] has degree at most 1.
+    whose gcd w over Q[x] has degree at most 1.  The witnesses are
+    (n, den_reduced*multiplier); when w also divides den_reduced (the reduced
+    denominator vanishes where w does) they would share w for every
+    multiplier, so the multiplier moves to the other side:
+    (num_reduced*multiplier, d).
     """
     desc = p.descriptor
     if not desc.is_delay:
@@ -224,14 +228,15 @@ def construct_witnesses_delay(p: TransferFunction) -> WitnessPair:
     slope = common.coeff(1)
     num_red = poly_divmod(n, common)[0]
     den_red = poly_divmod(d, common)[0]
+    swap = slope != 0 and den_red(-1 / slope) == 0
     # With slope 0 the gcd is 1, so the plain pair (multiplier 1) is coprime.
     for constant in _multiplier_constants() if slope else [ZERO]:
         mult = Poly.from_list([Fraction(1), slope, constant * slope * slope])
-        den_infl = den_red * mult
-        bezout = delay_bezout([n, den_infl])
+        num_infl, den_infl = num_red * mult, den_red * mult
+        lam1, lam2 = (num_infl, d) if swap else (n, den_infl)
+        bezout = delay_bezout([lam1, lam2])
         if bezout is not None:
             break
-    num_infl = num_red * mult
     (cof_num, cof_den), (shift, _), (u, v) = bezout.qx, bezout.shifts, bezout.cofactors
 
     trace = DelayTrace(
@@ -253,8 +258,8 @@ def construct_witnesses_delay(p: TransferFunction) -> WitnessPair:
     )
     return WitnessPair(
         plant=p,
-        lam1=RingElement(desc, n),
-        lam2=RingElement(desc, den_infl),
+        lam1=RingElement(desc, lam1),
+        lam2=RingElement(desc, lam2),
         u=RingElement(desc, u),
         v=RingElement(desc, v),
         trace=trace,

@@ -13,10 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-# Exact rational scalar used throughout.  Fraction already guarantees lowest
-# terms, denominator > 0, and canonical zero 0/1.
-BigRat = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -43,20 +39,6 @@ def ext_gcd_int(a: int, b: int) -> tuple[int, int, int]:
 
 def is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
-
-
-def squarefree(n: int) -> bool:
-    """True iff n > 0 has no repeated prime factor (trial division; desk scale)."""
-    if n <= 0:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        while n % d == 0:
-            n //= d
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -296,12 +278,14 @@ def ext_gcd_poly(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     ug = ug.scale(1 / lead)
     # Reduce u modulo b/g for the canonical minimal-degree pair.
     bg, rem = poly_divmod(b, g)
-    assert rem.is_zero()
+    if not rem.is_zero():
+        raise ArithmeticError("gcd does not divide its input")
     if bg.degree > 0:
         _, ug = poly_divmod(ug, bg)
     num = g - ug * a
     vg, rem = poly_divmod(num, b)
-    assert rem.is_zero(), "Bezout cofactor division must be exact"
+    if not rem.is_zero():
+        raise ArithmeticError("Bezout cofactor division must be exact")
     return g, ug, vg
 
 

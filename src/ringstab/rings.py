@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Union
 
-from .exact import Poly, QuadElem, is_square, poly_divmod, poly_gcd, squarefree
+from .exact import Poly, QuadElem, is_square, poly_divmod, poly_gcd
 
 QUADRATIC = "quadratic"
 DELAY = "delay"
@@ -57,15 +57,6 @@ class RingDescriptor:
     @property
     def is_delay(self) -> bool:
         return self.kind == DELAY
-
-    @property
-    def is_maximal_order(self) -> bool:
-        """True iff Z[sqrt(m)*i] is the full ring of integers of Q(sqrt(m)*i).
-
-        Holds for square-free m with m = 1 or 2 (mod 4).  The ideal-theoretic
-        coprime-factorization checker is only decisive in that case.
-        """
-        return self.is_quadratic and squarefree(self.m) and self.m % 4 in (1, 2)
 
     def __str__(self) -> str:
         return f"Z[sqrt({self.m})i]" if self.is_quadratic else "Q[x^2,x^3]"
@@ -221,16 +212,12 @@ class TransferFunction:
         if num.is_zero():
             return TransferFunction(desc, Poly.zero(), Poly.one())
         g = poly_gcd(num, den)
-        num, r = poly_divmod(num, g)
-        assert r.is_zero()
-        den, r = poly_divmod(den, g)
-        assert r.is_zero()
+        num, rem_num = poly_divmod(num, g)
+        den, rem_den = poly_divmod(den, g)
+        if not (rem_num.is_zero() and rem_den.is_zero()):
+            raise ArithmeticError("gcd does not divide num and den")
         scale = den(0) if den(0) != 0 else den.leading()
         return TransferFunction(desc, num.scale(1 / scale), den.scale(1 / scale))
-
-    @staticmethod
-    def from_element(e: RingElement) -> "TransferFunction":
-        return e.to_tf()
 
     @staticmethod
     def zero(desc: RingDescriptor) -> "TransferFunction":
@@ -356,7 +343,8 @@ def causal_representation(p: TransferFunction) -> Optional[tuple[RingElement, Ri
     w = Poly.from_list([Fraction(1), -den.coeff(1)])
     n = num * w
     d = den * w
-    assert n.coeff(1) == 0 and d.coeff(1) == 0 and d(0) != 0
+    if n.coeff(1) != 0 or d.coeff(1) != 0 or d(0) == 0:
+        raise ArithmeticError("inflated representation left A")
     return (RingElement(p.descriptor, n), RingElement(p.descriptor, d))
 
 

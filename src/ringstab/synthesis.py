@@ -68,20 +68,15 @@ class CoprimePairLocal:
             n2=p, d2=one, y2=zero, x2=one,
             r1=r1, r2=r2,
         )
-        assert pair.y1 * pair.n1 + pair.x1 * pair.d1 == one
-        assert pair.y2 * pair.n2 + pair.x2 * pair.d2 == one
+        if pair.y1 * pair.n1 + pair.x1 * pair.d1 != one or pair.y2 * pair.n2 + pair.x2 * pair.d2 != one:
+            raise ValueError("local coprime pair fails y*n + x*d = 1")
         return pair
 
 
 @dataclass(frozen=True)
 class SynthesisConfig:
-    omega_max: int = 32
     r1: Optional[RingElement] = None
     r2: Optional[RingElement] = None
-
-    def __post_init__(self):
-        if self.omega_max < 1:
-            raise ValueError("omega_max must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -214,12 +209,33 @@ def _closed_loop(p: TransferFunction, c: TransferFunction) -> FeedbackMatrix:
 
 
 def synthesize(p: TransferFunction, cfg: SynthesisConfig = SynthesisConfig()) -> SynthesisResult:
-    """Full pipeline: witnesses, omega scan, controller assembly, verification.
+    """Full pipeline: witnesses, omega in (1, 2, 3), controller assembly, verification.
 
-    Plants already in A get the zero controller.  Otherwise omega runs from 1
-    to cfg.omega_max; for each omega both condition-(i) solutions are tried
-    (integer shortcut first, then the binomial expansion) against conditions
-    (ii) and (iii).  Every controller is re-verified stable before returning.
+    Plants already in A get the zero controller.  Otherwise, for each witness
+    and omega = 1, 2, 3, both condition-(i) solutions are tried (integer
+    shortcut first, then the binomial expansion) against conditions (ii) and
+    (iii).  Every controller is re-verified stable before returning.
+
+    Some omega >= 1 works iff some omega <= 3 works, so a failure is decided:
+
+    - (ii) holds at every omega >= 2: with mu1 = lam1/p and mu2 = lam2*p in A,
+      every term of the eight products is a ring polynomial in a, lam, mu, r
+      except r1*a1*lam1^omega/p^2 = r1*a1*lam1^(omega-2)*mu1^2 and
+      r2*a2*lam2^omega*p^2 = r2*a2*lam2^(omega-2)*mu2^2.
+    - By (i) the denominator of c is D = -r1/p + t*K with t = a2*lam2^omega and
+      K = r1/p + 1 - r2*p.  If K = 0, D does not depend on omega or the route;
+      otherwise (iii) fails exactly when t equals the fixed c0 = r1/(p*K).
+    - Binomial route, s = v*lam2: t = sum over j >= omega of
+      C(2*omega-1, j)*s^j*(1-s)^(2*omega-1-j), and t(2) - t(3) =
+      3*s^2*(s-1)^2*(1-2s).  Failing at omega = 2 and 3 forces s in
+      {0, 1/2, 1}, where t = s = c0 at every omega.
+    - Integer shortcut (lam1, lam2 in Z): failing at omega = 2 puts c0 = t in
+      Z, so with the binomial route c0 is 0 or 1, i.e. a2 = 0 (then
+      lam1 = +-1) or a1 = 0 (then lam2 = +-1).  ext_gcd_int(a, +-1) gives
+      a1 = 0 for every a, and ext_gcd_int(+-1, b) gives a2 = 0 for b = 0 and
+      |b| >= 3, so t is the same at every omega >= 2.
+
+    The loop therefore returns what any longer scan returns first.
     """
     if not is_causal(p):
         raise SynthesisError("plant is not causal", condition="causality")
@@ -246,7 +262,7 @@ def synthesize(p: TransferFunction, cfg: SynthesisConfig = SynthesisConfig()) ->
             # a2*lam2^omega*(1 - r2*p) vanishes at every omega.
             continue
         lam1, lam2 = witness.lam1, witness.lam2
-        for omega in range(1, cfg.omega_max + 1):
+        for omega in (1, 2, 3):
             candidates = []
             short = _condition_i_shortcut(lam1, lam2, omega)
             if short[0] is not None:
@@ -272,7 +288,4 @@ def synthesize(p: TransferFunction, cfg: SynthesisConfig = SynthesisConfig()) ->
         ideal = factor_ideals(p).ideal
         raise SynthesisError(f"plant is not stabilizable: G = (num, den) = {ideal} is not invertible",
                              condition="not_stabilizable", certificate=ideal)
-    raise SynthesisError(
-        f"no omega up to {cfg.omega_max} satisfied condition ({last_failure})",
-        condition=last_failure,
-    )
+    raise SynthesisError(f"no omega satisfies condition ({last_failure}) for these r1, r2", condition=last_failure)

@@ -140,6 +140,13 @@ class TestSynthesize:
         assert doc["witness"]["lambda1"] == "424-108*i13"
         assert doc["witness"]["trace"]["kind"] == "factor_ideals"
 
+    def test_no_omega_is_decided(self, capsys, tmp_path):
+        # r2 = 1/p with r1 = 0 zeroes the controller denominator at every omega
+        code, doc = run_json(capsys, "synthesize", plant_file(tmp_path, quad_doc(5, 1, 0, 2)), "--r2", "2")
+        assert code == EXIT_SYNTHESIS
+        assert doc["failed_condition"] == "iii"
+        assert doc["error"] == "no omega satisfies condition (iii) for these r1, r2"
+
     def test_latex(self, capsys):
         code, out, _ = run(capsys, "synthesize", fx("quadratic_plant.json"), "--latex")
         assert code == EXIT_OK
@@ -268,10 +275,6 @@ class TestReports:
         assert again.controller == pf.controller
         assert again.to_dict() == doc
 
-    def test_usage_error(self, capsys):
-        assert main(["synthesize"]) == EXIT_PARSE
-        capsys.readouterr()
-
     @pytest.mark.parametrize("argv, doc", [
         (["synthesize", "{plant}", "--r1", "x"], DELAY_DOC),
         (["synthesize", "{plant}", "--r1", "zz"], DELAY_DOC),
@@ -284,27 +287,29 @@ class TestReports:
         (["synthesize", "{plant}", "--omega-max", "-3"], DELAY_DOC),
         (["synthesize", "{plant}", "--omega-max", "0"], DELAY_DOC),
         (["family", "--x", "2", "--y", "3", "--omega-max", "0"], None),
+        (["analyze", "{plant}", "--omega-max", "8"], DELAY_DOC),
+        (["synthesize", "{plant}", "--omega-max", "8"], DELAY_DOC),
+        (["family", "--x", "2", "--y", "3", "--omega-max", "8"], None),
+        (["synthesize", "{plant}"], dict(DELAY_DOC, config={"r_1": "1"})),
+        (["synthesize"], None),
+        (["synthesize", "{plant}", "--bound", "8"], DELAY_DOC),
+        (["analyze", "{plant}", "--box", "8"], quad_doc(5, 1, 1, 2)),
+        (["synthesize", "{plant}", "--box", "8"], quad_doc(5, 1, 1, 2)),
+        (["coprime-factorization", "{plant}", "--box", "8"], quad_doc(5, 1, 1, 2)),
         (["analyze", "{plant}"], dict(quad_doc(5, 1, 1, 2), ring={"kind": "quadratic", "m": 2.5})),
         (["analyze", "{plant}"], dict(quad_doc(5, 1, 1, 2), ring={"kind": "quadratic", "m": True})),
         (["analyze", "{plant}"], dict(quad_doc(5, 1, 1, 2), ring={"kind": "quadratic", "m": "5"})),
     ], ids=["r1-degree-one", "r1-unparsable", "plant-list", "ring-string", "coeffs-number", "coeffs-string",
             "re-list", "config-omega-zero",
-            "omega-negative", "omega-zero", "family-omega-zero", "m-float", "m-bool", "m-string"])
+            "omega-negative", "omega-zero", "family-omega-zero", "analyze-omega-max", "synthesize-omega-max",
+            "family-omega-max", "config-unknown-key", "usage-error", "bound-flag", "analyze-box-flag",
+            "synthesize-box-flag", "cf-box-flag", "m-float", "m-bool", "m-string"])
     def test_input_errors_exit_2_with_one_line(self, capsys, tmp_path, argv, doc):
         path = plant_file(tmp_path, doc) if doc is not None else None
         code, out, err = run(capsys, *[path if a == "{plant}" else a for a in argv])
         assert code == EXIT_PARSE
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-
-    def test_bound_option_removed(self, capsys):
-        assert main(["synthesize", fx("delay_plant.json"), "--bound", "8"]) == EXIT_PARSE
-        capsys.readouterr()
-
-    @pytest.mark.parametrize("cmd", ["analyze", "synthesize", "coprime-factorization"])
-    def test_box_option_removed(self, capsys, cmd):
-        assert main([cmd, fx("quadratic_plant.json"), "--box", "8"]) == EXIT_PARSE
-        capsys.readouterr()
 
     def test_closed_pipe_is_not_a_traceback(self):
         # the reader is gone before the report is written

@@ -133,3 +133,10 @@ class TestExtractController:
         h = FeedbackMatrix(zero, one, one, zero, well_posed=False, stable=False)
         with pytest.raises(ZeroDivisionError):
             extract_controller(h)
+
+    def test_unequal_diagonal_rejected(self):
+        # h21/h11 != h21/h22: a ValueError, also under python -O
+        one = TransferFunction.one(Z5)
+        h = FeedbackMatrix(one, one, one, tf5(2, 0), well_posed=True, stable=True)
+        with pytest.raises(ValueError):
+            extract_controller(h)

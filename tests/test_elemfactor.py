@@ -198,6 +198,17 @@ class TestDelayConstruction:
         assert w.trace.multiplier == Poly.one()
         assert w.lam2.value == Poly.of(1, 0, 1)
 
+    def test_gcd_dividing_reduced_denominator(self):
+        # (2-2x^2)/(1-3x^2-2x^3) reduces to 2(1-x)/((1+x)(1-2x)); its inflating
+        # factor 1+x divides the reduced denominator, so the multiplier joins
+        # the numerator instead (the other side shares 1+x at every constant)
+        p = TransferFunction.make(D, Poly.of(2, 0, -2), Poly.of(1, 0, -3, -2))
+        w = construct_witnesses_delay(p)
+        t = w.trace
+        assert t.gcd == Poly.of(1, 1)
+        assert w.lam1.value == t.num_inflated == t.num_reduced * t.multiplier
+        assert w.lam2.value == Poly.of(1, 0, -3, -2)
+
     def test_canonical_representation_gcd_degree_at_most_one(self):
         # (1-x^4)/(1-x^6) has a degree-2 common factor in this form; the
         # canonical representation of the same plant has unit gcd

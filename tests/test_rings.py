@@ -47,11 +47,6 @@ def rand_a_poly(rng, max_deg, span=6):
 
 class TestDescriptors:
     def test_quadratic_validation(self):
-        assert quadratic(5).is_maximal_order
-        assert quadratic(13).is_maximal_order
-        assert quadratic(14).is_maximal_order  # 14 = 2 mod 4
-        assert not quadratic(3).is_maximal_order  # 3 mod 4: proper order, representable
-        assert not quadratic(20).is_maximal_order  # not square-free
         with pytest.raises(ValueError):
             quadratic(9)
         with pytest.raises(ValueError):

@@ -8,9 +8,15 @@ import pytest
 
 from ringstab import synthesis
 from ringstab.closedloop import is_stable
-from ringstab.elemfactor import IdealTrace, ReciprocalTrace, construct_witnesses_delay, construct_witnesses_quadratic
-from ringstab.exact import Poly, QuadElem
-from ringstab.rings import RingElement, TransferFunction, delay, quadratic
+from ringstab.elemfactor import (
+    IdealTrace,
+    ReciprocalTrace,
+    construct_witnesses_delay,
+    construct_witnesses_quadratic,
+    witness_candidates,
+)
+from ringstab.exact import Poly, QuadElem, ext_gcd_int
+from ringstab.rings import RingElement, TransferFunction, contains, delay, quadratic
 from ringstab.synthesis import (
     CoprimePairLocal,
     SynthesisConfig,
@@ -214,7 +220,9 @@ class TestSynthesize:
         assert first.a1 == second.a1 and first.a2 == second.a2
 
     def test_omega_cap_respected(self):
-        with pytest.raises(ValueError):
+        # omega <= 3 decides (see synthesize), so there is no cap to configure
+        assert [f.name for f in dataclasses.fields(SynthesisConfig)] == ["r1", "r2"]
+        with pytest.raises(TypeError):
             SynthesisConfig(omega_max=0)
 
     def test_nonzero_r_needs_larger_omega(self):
@@ -222,3 +230,97 @@ class TestSynthesize:
         result = synthesize(P_Z5, cfg)
         assert result.omega == 2
         assert is_stable(P_Z5, result.controller)
+
+
+def _scan_to_32(p, r1, r2):
+    """The omega = 1..32 scan that synthesize ran before omega <= 3 was proved decisive."""
+    pair = CoprimePairLocal.for_plant(p, r1, r2)
+    last_failure, tried = "witness", False
+    for w in witness_candidates(p):
+        tried = True
+        if w.v.is_zero() and r1.is_zero():
+            continue
+        for omega in range(1, 33):
+            candidates = []
+            short = synthesis._condition_i_shortcut(w.lam1, w.lam2, omega)
+            if short[0] is not None:
+                candidates.append(short)
+            candidates.append(synthesis._condition_i_binomial(w.lam1, w.lam2, w.u, w.v, omega))
+            for a1, a2 in candidates:
+                products = check_condition_ii(pair, w.lam1, w.lam2, a1, a2, omega)
+                if products is None:
+                    last_failure = "ii"
+                    continue
+                try:
+                    c = synthesis._controller_from_products(pair, products)
+                except SynthesisError:
+                    last_failure = "iii"
+                    continue
+                return omega, a1, a2, c, w
+    return last_failure if tried else "not_stabilizable"
+
+
+def _synthesize_outcome(p, r1, r2):
+    try:
+        result = synthesize(p, SynthesisConfig(r1=r1, r2=r2))
+    except SynthesisError as err:
+        return err.condition
+    return result.omega, result.a1, result.a2, result.controller, result.witness
+
+
+def _random_plant(rng, ring):
+    while True:
+        if ring == "delay":
+            n, d = (Poly.from_list([F(rng.randint(-3, 3)) if k != 1 else F(0) for k in range(rng.randint(1, 4))])
+                    for _ in range(2))
+            if n.is_zero() or d.is_zero() or d(0) == 0:
+                continue
+            p = TransferFunction.make(D, n, d)
+        else:
+            m = rng.choice((1, 2, 3, 5, 13))
+            re, im = rng.randint(-30, 30), rng.randint(-30, 30)
+            if re == 0 and im == 0:
+                continue
+            p = TransferFunction.make(quadratic(m), QuadElem.of(re, im, m), QuadElem.of(rng.randint(2, 30), 0, m))
+        if contains(p) is None:
+            return p
+
+
+def _small_r(rng, desc):
+    if desc.is_quadratic:
+        return RingElement.quad(desc, rng.randint(-2, 2), rng.randint(-1, 1))
+    return RingElement(desc, Poly.from_list([F(rng.randint(-2, 2)), F(0), F(rng.randint(-2, 2))]))
+
+
+class TestOmegaAtMostThree:
+    """synthesize at omega <= 3 agrees with the old omega <= 32 scan."""
+
+    @pytest.mark.parametrize("ring, count, with_r", [
+        ("quadratic", 100, False), ("quadratic", 100, True), ("delay", 40, False), ("delay", 40, True),
+    ])
+    def test_differential_against_scan_to_32(self, ring, count, with_r):
+        rng = random.Random(150 + 2 * count + with_r)
+        omegas = set()
+        for _ in range(count):
+            p = _random_plant(rng, ring)
+            zero = RingElement.zero(p.descriptor)
+            r1, r2 = (_small_r(rng, p.descriptor), _small_r(rng, p.descriptor)) if with_r else (zero, zero)
+            expected = _scan_to_32(p, r1, r2)
+            assert _synthesize_outcome(p, r1, r2) == expected, (str(p), str(r1), str(r2))
+            omegas.add(expected if isinstance(expected, str) else expected[0])
+        assert (2 if with_r else 1) in omegas
+
+    def test_unit_cofactors_behind_the_shortcut_case(self):
+        # the integer-shortcut step of synthesize's proof
+        for e in (1, -1):
+            for k in range(-60, 61):
+                assert ext_gcd_int(k, e)[1] == 0
+                if k == 0 or abs(k) >= 3:
+                    assert ext_gcd_int(e, k)[2] == 0
+
+    def test_failure_agrees_with_scan_to_32(self):
+        # r1 = 0, r2 = 1/p: the scan fails all 32 omegas, omega <= 3 decides the same
+        z1 = quadratic(1)
+        p = TransferFunction.make(z1, QuadElem.of(1, 0, 1), QuadElem.of(2, 0, 1))
+        r1, r2 = RingElement.zero(z1), RingElement.quad(z1, 2)
+        assert _scan_to_32(p, r1, r2) == _synthesize_outcome(p, r1, r2) == "iii"
