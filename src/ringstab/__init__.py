@@ -56,6 +56,8 @@ from .exact import (
     quad_norm,
 )
 from .rings import (
+    DelayRing,
+    QuadraticRing,
     RingDescriptor,
     RingElement,
     TransferFunction,

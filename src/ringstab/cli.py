@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import coprime as cp
@@ -28,19 +27,19 @@ from .elemfactor import (
     WitnessPair,
     witness_candidates,
 )
-from .exact import Poly, QuadElem, poly_gcd
+from .exact import poly_gcd
 from .rings import (
+    DelayRing,
     RingDescriptor,
     RingElement,
     TransferFunction,
     causal_representation,
     contains,
-    delay,
-    format_element_value,
+    format_poly,
     is_causal,
     parse_ring_element,
     parse_transfer_function,
-    quadratic,
+    ring_from_json,
 )
 from .synthesis import SynthesisConfig, SynthesisError, synthesize
 
@@ -59,25 +58,10 @@ class PlantFileError(Exception):
 # ---------------------------------------------------------------------------
 
 def _parse_elem_value(desc: RingDescriptor, obj, where: str):
-    if desc.is_quadratic:
-        if not isinstance(obj, dict) or not {"re", "im"} >= set(obj) or "re" not in obj:
-            raise PlantFileError(f"{where}: quadratic element needs {{'re': 'p/q', 'im': 'p/q'}}")
-        try:
-            return QuadElem.of(Fraction(obj["re"]), Fraction(obj.get("im", "0")), desc.m)
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
-            raise PlantFileError(f"{where}: bad rational literal ({exc})")
-    if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
-        raise PlantFileError(f"{where}: delay element needs {{'coeffs': ['p/q', ...]}} ascending")
     try:
-        return Poly.from_list([Fraction(c) for c in obj["coeffs"]])
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise PlantFileError(f"{where}: bad rational literal ({exc})")
-
-
-def _elem_to_json(desc: RingDescriptor, value):
-    if desc.is_quadratic:
-        return {"re": str(value.re), "im": str(value.im)}
-    return {"coeffs": [str(c) for c in value.coeffs]}
+        return desc.value_from_json(obj)
+    except ValueError as exc:
+        raise PlantFileError(f"{where}: {exc}")
 
 
 class PlantFile:
@@ -107,18 +91,10 @@ class PlantFile:
         ring = doc["ring"]
         if not isinstance(ring, dict):
             raise PlantFileError(f"{where}: ring must be an object")
-        kind = ring.get("kind")
         try:
-            if kind == "quadratic":
-                if type(ring["m"]) is not int:  # rejects floats, bools and strings
-                    raise PlantFileError(f"{where}: ring.m must be a JSON integer, got {ring['m']!r}")
-                desc = quadratic(ring["m"])
-            elif kind == "delay":
-                desc = delay()
-            else:
-                raise PlantFileError(f"{where}: ring.kind must be 'quadratic' or 'delay'")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PlantFileError(f"{where}: bad ring descriptor ({exc})")
+            desc = ring_from_json(ring)
+        except ValueError as exc:
+            raise PlantFileError(f"{where}: {exc}")
         plant_obj = doc["plant"]
         if not isinstance(plant_obj, dict):
             raise PlantFileError(f"{where}: plant must be an object with 'num' and 'den'")
@@ -154,79 +130,31 @@ class PlantFile:
         return PlantFile(desc, plant, controller, config)
 
     def to_dict(self) -> dict:
-        out = {"ring": {"kind": self.descriptor.kind}}
-        if self.descriptor.is_quadratic:
-            out["ring"]["m"] = self.descriptor.m
-        out["plant"] = {
-            "num": _elem_to_json(self.descriptor, self.plant.num),
-            "den": _elem_to_json(self.descriptor, self.plant.den),
-        }
+        out = {"ring": self.descriptor.json(), "plant": _pair_json(self.plant)}
         if self.controller is not None:
-            out["controller"] = {
-                "num": _elem_to_json(self.descriptor, self.controller.num),
-                "den": _elem_to_json(self.descriptor, self.controller.den),
-            }
+            out["controller"] = _pair_json(self.controller)
         return out
-
-
-# ---------------------------------------------------------------------------
-# LaTeX rendering (documentation aid)
-# ---------------------------------------------------------------------------
-
-def _latex_frac(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    sign = "-" if q < 0 else ""
-    return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
-
-
-def latex_value(desc: RingDescriptor, value) -> str:
-    if desc.is_quadratic:
-        if value.im == 0:
-            return _latex_frac(value.re)
-        im = "" if abs(value.im) == 1 else _latex_frac(abs(value.im))
-        tail = f"{im}\\sqrt{{{value.m}}}i"
-        if value.re == 0:
-            return tail if value.im > 0 else f"-{tail}"
-        return f"{_latex_frac(value.re)} {'+' if value.im > 0 else '-'} {tail}"
-    if value.is_zero():
-        return "0"
-    parts = []
-    for k, c in enumerate(value.coeffs):
-        if c == 0:
-            continue
-        mag = _latex_frac(abs(c))
-        if k > 0:
-            mag = ("" if abs(c) == 1 else mag) + ("x" if k == 1 else f"x^{{{k}}}")
-        parts.append(("-" if c < 0 else ("+" if parts else "")) + mag)
-    return " ".join(parts)
-
-
-def latex_tf(tf: TransferFunction) -> str:
-    num, den = tf.display_pair()
-    return f"\\frac{{{latex_value(tf.descriptor, num)}}}{{{latex_value(tf.descriptor, den)}}}"
 
 
 # ---------------------------------------------------------------------------
 # Report serialization
 # ---------------------------------------------------------------------------
 
+def latex_tf(tf: TransferFunction) -> str:
+    num, den = tf.display_pair()
+    return f"\\frac{{{tf.descriptor.latex(num)}}}{{{tf.descriptor.latex(den)}}}"
+
+
+def _pair_json(tf: TransferFunction) -> dict:
+    return {"num": tf.descriptor.value_json(tf.num), "den": tf.descriptor.value_json(tf.den)}
+
+
 def _tf_json(tf: TransferFunction) -> dict:
-    return {
-        "display": str(tf),
-        "num": _elem_to_json(tf.descriptor, tf.num),
-        "den": _elem_to_json(tf.descriptor, tf.den),
-    }
+    return {"display": str(tf), **_pair_json(tf)}
 
 
 def _elem_str(e: Optional[RingElement]) -> Optional[str]:
     return None if e is None else str(e)
-
-
-def _poly_str(p: Poly) -> str:
-    from .rings import format_poly
-
-    return format_poly(p)
 
 
 def _trace_json(trace) -> dict:
@@ -243,17 +171,17 @@ def _trace_json(trace) -> dict:
     if isinstance(trace, DelayTrace):
         return {
             "kind": "delay_construction",
-            "gcd": _poly_str(trace.gcd),
+            "gcd": format_poly(trace.gcd),
             "gcd_slope": str(trace.gcd_slope),
             "multiplier_constant": str(trace.multiplier_constant),
-            "multiplier": _poly_str(trace.multiplier),
-            "num_reduced": _poly_str(trace.num_reduced),
-            "den_reduced": _poly_str(trace.den_reduced),
-            "num_inflated": _poly_str(trace.num_inflated),
-            "den_inflated": _poly_str(trace.den_inflated),
-            "cof_num": _poly_str(trace.cof_num),
-            "cof_den": _poly_str(trace.cof_den),
-            "shift": _poly_str(trace.shift),
+            "multiplier": format_poly(trace.multiplier),
+            "num_reduced": format_poly(trace.num_reduced),
+            "den_reduced": format_poly(trace.den_reduced),
+            "num_inflated": format_poly(trace.num_inflated),
+            "den_inflated": format_poly(trace.den_inflated),
+            "cof_num": format_poly(trace.cof_num),
+            "cof_den": format_poly(trace.cof_den),
+            "shift": format_poly(trace.shift),
             "cof_num0": str(trace.cof_num0),
             "cof_num1": str(trace.cof_num1),
             "cof_den0": str(trace.cof_den0),
@@ -352,14 +280,14 @@ def cmd_analyze(args, rep: Report) -> None:
     if in_ring is not None:
         rep.put("stabilizable", True, "stabilizable: True (plant in A; zero controller works)")
         return
-    if desc.is_delay:
+    if isinstance(desc, DelayRing):
         n, d = causal_representation(p)
         g = poly_gcd(n.value, d.value)
         g = g.scale(1 / g(0))
         rep.put(
             "representation",
-            {"n": str(n), "d": str(d), "gcd": _poly_str(g)},
-            f"A-representation: n = {n}, d = {d}, gcd = {_poly_str(g)}",
+            {"n": str(n), "d": str(d), "gcd": format_poly(g)},
+            f"A-representation: n = {n}, d = {d}, gcd = {format_poly(g)}",
         )
     witness = next(witness_candidates(p), None)
     if witness is None:  # only a quadratic plant with a non-invertible G gets no candidate

@@ -22,48 +22,41 @@ from typing import Optional, Sequence
 
 from .exact import ZERO, Poly, QuadElem, ext_gcd_int, ext_gcd_poly, is_square, poly_divides, poly_gcd
 from .rings import (
+    DelayRing,
+    QuadraticRing,
     RingDescriptor,
     RingElement,
     TransferFunction,
-    contains,
     is_causal,
     quadratic,
 )
 
 
 # ---------------------------------------------------------------------------
-# Integer lattice utilities (rank <= 2, row vectors in Z^2)
+# Integer lattice utilities (rank-2 lattices, row vectors in Z^2)
 # ---------------------------------------------------------------------------
 
-def _hnf2(rows: Sequence[Sequence[int]], want_transform: bool = False):
-    """Hermite normal form of the lattice spanned by integer row vectors.
+def _hnf2(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Hermite normal form ((a, 0), (b, c)), a, c > 0 and 0 <= b < a, of the
+    rank-2 lattice spanned by the rows' first two coordinates.
 
-    Returns ((a, 0), (b, c)) with a, c > 0 and 0 <= b < a for a rank-2
-    lattice; degenerate ranks return fewer rows.  With ``want_transform`` a
-    unimodular row-operation record U is returned such that each HNF row is
-    the corresponding U-row combination of the input rows.
+    Every row operation applies to whole rows, so coordinates past the second
+    record the transform: rows extended by unit vectors come back with the
+    coefficients that combine each HNF row from the inputs.
     """
     work = [list(r) for r in rows]
-    k = len(work)
-    u = [[1 if i == j else 0 for j in range(k)] for i in range(k)] if want_transform else None
 
     def combine(i: int, j: int, col: int) -> None:
         # Zero out work[j][col] against pivot work[i][col] via extended gcd.
-        g, s, t = ext_gcd_int(work[i][col], work[j][col])
-        if g == 0:
-            return
-        ai, aj = work[i][col] // g, work[j][col] // g
-        ri = [s * work[i][0] + t * work[j][0], s * work[i][1] + t * work[j][1]]
-        rj = [-aj * work[i][0] + ai * work[j][0], -aj * work[i][1] + ai * work[j][1]]
-        work[i], work[j] = ri, rj
-        if u is not None:
-            ui = [s * u[i][q] + t * u[j][q] for q in range(k)]
-            uj = [-aj * u[i][q] + ai * u[j][q] for q in range(k)]
-            u[i], u[j] = ui, uj
+        wi, wj = work[i], work[j]
+        g, s, t = ext_gcd_int(wi[col], wj[col])
+        ai, aj = wi[col] // g, wj[col] // g
+        work[i] = [s * x + t * y for x, y in zip(wi, wj)]
+        work[j] = [ai * y - aj * x for x, y in zip(wi, wj)]
 
     # Stage 1: single row carrying the second coordinate.
     pivot2 = None
-    for i in range(k):
+    for i in range(len(work)):
         if work[i][1] != 0:
             if pivot2 is None:
                 pivot2 = i
@@ -71,82 +64,34 @@ def _hnf2(rows: Sequence[Sequence[int]], want_transform: bool = False):
                 combine(pivot2, i, 1)
     # Stage 2: single row carrying the first coordinate among the rest.
     pivot1 = None
-    for i in range(k):
+    for i in range(len(work)):
         if i != pivot2 and work[i][0] != 0:
             if pivot1 is None:
                 pivot1 = i
             else:
                 combine(pivot1, i, 0)
-
-    def negate(i: int) -> None:
-        work[i] = [-work[i][0], -work[i][1]]
-        if u is not None:
-            u[i] = [-q for q in u[i]]
-
-    hnf_rows = []
-    urows = []
-    if pivot1 is not None:
-        if work[pivot1][0] < 0:
-            negate(pivot1)
-    if pivot2 is not None:
-        if work[pivot2][1] < 0:
-            negate(pivot2)
-        if pivot1 is not None:
-            # reduce b = work[pivot2][0] into [0, a)
-            a = work[pivot1][0]
-            q = work[pivot2][0] // a
-            if q:
-                work[pivot2] = [work[pivot2][0] - q * a, work[pivot2][1]]
-                if u is not None:
-                    u[pivot2] = [u[pivot2][q2] - q * u[pivot1][q2] for q2 in range(k)]
-    if pivot1 is not None:
-        hnf_rows.append(tuple(work[pivot1]))
-        if u is not None:
-            urows.append(list(u[pivot1]))
-    if pivot2 is not None:
-        hnf_rows.append(tuple(work[pivot2]))
-        if u is not None:
-            urows.append(list(u[pivot2]))
-    if want_transform:
-        return hnf_rows, urows
-    return hnf_rows
+    if pivot1 is None or pivot2 is None:
+        raise ValueError("rows span a lattice of rank < 2")
+    top, bottom = work[pivot1], work[pivot2]
+    if top[0] < 0:
+        top = [-x for x in top]
+    if bottom[1] < 0:
+        bottom = [-x for x in bottom]
+    q = bottom[0] // top[0]  # reduce b into [0, a)
+    if q:
+        bottom = [y - q * x for x, y in zip(top, bottom)]
+    return top, bottom
 
 
-def _express_in_lattice(rows: Sequence[Sequence[int]], target: tuple[int, int]) -> Optional[list[int]]:
-    """Integer coefficients c with sum(c_i * rows_i) = target, or None."""
-    hnf_rows, urows = _hnf2(rows, want_transform=True)
+def _express_one(rows: Sequence[Sequence[int]]) -> Optional[list[int]]:
+    """Integer coefficients c with sum(c_i * rows_i) = (1, 0), or None.
+
+    (1, 0) = s1*(a, 0) + s2*(b, c) forces s2 = 0 and a = s1 = 1, so the
+    transform of the HNF's first row is the answer when a = 1.
+    """
     k = len(rows)
-    tx, ty = target
-    coeffs = [0] * k
-    if len(hnf_rows) == 2:
-        (a, _), (b, c) = hnf_rows
-        if ty % c:
-            return None
-        s2 = ty // c
-        rem = tx - s2 * b
-        if rem % a:
-            return None
-        s1 = rem // a
-        for q in range(k):
-            coeffs[q] = s1 * urows[0][q] + s2 * urows[1][q]
-        return coeffs
-    if len(hnf_rows) == 1:
-        (x, y) = hnf_rows[0]
-        # target must be an integer multiple of the single basis row
-        if x != 0:
-            if tx % x or ty * x != tx * y:
-                return None
-            s = tx // x
-        elif y != 0:
-            if ty % y or tx != 0:
-                return None
-            s = ty // y
-        else:
-            return None
-        for q in range(k):
-            coeffs[q] = s * urows[0][q]
-        return coeffs
-    return None if (tx, ty) != (0, 0) else coeffs
+    (a, _, *coeffs), _ = _hnf2([(*r, *(int(i == j) for j in range(k))) for i, r in enumerate(rows)])
+    return coeffs if a == 1 else None
 
 
 def _round_div(n: int, d: int) -> int:
@@ -282,10 +227,7 @@ def ideal_from_gens(m: int, gens: Sequence[QuadElem]) -> QuadIdeal:
     rows = _gen_rows(m, gens)
     if not rows:
         raise ValueError("zero ideal")
-    hnf_rows = _hnf2(rows)
-    if len(hnf_rows) != 2:
-        raise ValueError("nonzero quadratic ideals have rank 2")
-    (a, _), (b, c) = hnf_rows
+    (a, _), (b, c) = _hnf2(rows)
     return QuadIdeal(m, a, b, c)
 
 
@@ -338,7 +280,7 @@ class FactorIdeals:
         """(re, im) of the least lam in the order (max(|re|, |im|), re, im) with lam
         in Lam1 and 1 - lam in Lam2: the coset lam0 + Lam1*Lam2 of any such lam0."""
         rows1 = self.lam1.basis_rows()
-        coeffs = _express_in_lattice(rows1 + self.lam2.basis_rows(), (1, 0))
+        coeffs = _express_one(rows1 + self.lam2.basis_rows())
         if coeffs is None:
             raise ValueError("factor ideals of an invertible G must sum to A")
         start = (coeffs[0] * rows1[0][0] + coeffs[1] * rows1[1][0], coeffs[1] * rows1[1][1])
@@ -417,7 +359,7 @@ def bezout_combination(desc: RingDescriptor, gens: Sequence[RingElement]) -> Opt
     Exact and complete for both rings: lattice membership of 1 for quadratic
     rings, a gcd over Q[x] for the delay ring.
     """
-    if desc.is_delay:
+    if isinstance(desc, DelayRing):
         bezout = delay_bezout([g.value for g in gens])
         if bezout is None:
             return None
@@ -426,7 +368,7 @@ def bezout_combination(desc: RingDescriptor, gens: Sequence[RingElement]) -> Opt
     index = [i for i, g in enumerate(gens) if not g.is_zero()]  # generator of each row pair
     if not rows:
         return None
-    coeffs = _express_in_lattice(rows, (1, 0))
+    coeffs = _express_one(rows)
     if coeffs is None:
         return None
     out = [RingElement.quad(desc, 0) for _ in gens]
@@ -495,7 +437,7 @@ def are_coprime(a: RingElement, b: RingElement) -> CoprimeCertificate:
     combo = bezout_combination(desc, [a, b])
     if combo is not None:
         return CoprimeCertificate(CertKind.WITNESS, a, b, x=combo[0], y=combo[1])
-    if desc.is_quadratic:
+    if isinstance(desc, QuadraticRing):
         return CoprimeCertificate(CertKind.NOT_COPRIME, a, b, ideal=ideal_from_gens(desc.m, [a.value, b.value]))
     common = poly_gcd(a.value, b.value)
     if common.coeff(0) != 0:
@@ -553,7 +495,7 @@ def cf_exists(p: TransferFunction) -> CFVerdict:
     if p.is_zero():
         raise ValueError("cf_exists is undefined for the zero plant")
     desc = p.descriptor
-    if desc.is_quadratic:
+    if isinstance(desc, QuadraticRing):
         ideals = factor_ideals(p)
         if not ideals.invertible:
             return CFVerdict(CFKind.UNKNOWN, p, reason=NOT_INVERTIBLE_REASON)
@@ -615,10 +557,6 @@ class NonexistenceReport:
     lambda1: Optional[RingElement] = None
     lambda2: Optional[RingElement] = None
 
-    @property
-    def all_hold(self) -> bool:
-        return self.cond_i and self.cond_ii == Verdict.HOLDS and self.cond_iii == Verdict.HOLDS
-
 
 def verify_nonexistence_instance(inst: NonexistenceInstance) -> NonexistenceReport:
     """Check the three instance conditions and return per-condition verdicts.
@@ -672,10 +610,9 @@ def verify_nonexistence_instance(inst: NonexistenceInstance) -> NonexistenceRepo
     if lambda1 is not None:
         if lambda1 + lambda2 != RingElement.one(desc):
             raise ValueError("split witness does not sum to 1")
-        if not plant.is_zero():
-            q1 = contains(lambda1.to_tf() / plant)
-            q2 = contains(lambda2.to_tf() * plant)
-            if q1 is None or q2 is None:
+        a, a_prime = inst.a.value, inst.a_prime.value
+        if not a.is_zero():  # lambda1/p = lambda1*a'/a and lambda2*p = lambda2*a/a' lie in A
+            if desc.quotient(lambda1.value * a_prime, a) is None or desc.quotient(lambda2.value * a, a_prime) is None:
                 raise ValueError("split witness fails factor membership")
     return NonexistenceReport(
         instance=inst,

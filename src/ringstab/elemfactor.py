@@ -36,7 +36,7 @@ from typing import Iterator, Optional, Union
 
 from .coprime import QuadIdeal, delay_bezout, factor_ideals
 from .exact import ZERO, Poly, ext_gcd_int, poly_divmod, poly_gcd
-from .rings import RingElement, TransferFunction, causal_representation, contains
+from .rings import DelayRing, QuadraticRing, RingElement, TransferFunction, causal_representation, contains
 
 
 def _multiplier_constants():
@@ -62,15 +62,13 @@ class LambdaSet:
 
 
 def lambda_member(lam: RingElement, lset: LambdaSet) -> bool:
-    """Exact membership test; delegates to ring membership of lam*d/n or lam*n/d."""
+    """Exact membership test: lam*d/n (I1) or lam*n/d (I2) lies in A, for p = n/d."""
     p = lset.plant
     if lset.which == Which.I1:
         if p.is_zero():
             raise ValueError("plant numerator is zero; the first factor set is degenerate")
-        ratio = lam.to_tf() / p
-    else:
-        ratio = lam.to_tf() * p
-    return contains(ratio) is not None
+        return p.descriptor.quotient(lam.value * p.den, p.num) is not None
+    return p.descriptor.quotient(lam.value * p.num, p.den) is not None
 
 
 @dataclass(frozen=True)
@@ -164,7 +162,7 @@ def construct_witnesses_quadratic(p: TransferFunction) -> Optional[WitnessPair]:
     falls back to the ideal witness.
     """
     desc = p.descriptor
-    if not desc.is_quadratic:
+    if not isinstance(desc, QuadraticRing):
         raise ValueError("quadratic construction on a non-quadratic plant")
     if contains(p) is not None:
         raise ValueError("plant lies in A; synthesis uses the trivial controller instead")
@@ -214,7 +212,7 @@ def construct_witnesses_delay(p: TransferFunction) -> WitnessPair:
     (num_reduced*multiplier, d).
     """
     desc = p.descriptor
-    if not desc.is_delay:
+    if not isinstance(desc, DelayRing):
         raise ValueError("delay construction on a non-delay plant")
     if contains(p) is not None:
         raise ValueError("plant lies in A; synthesis uses the trivial controller instead")
@@ -280,7 +278,7 @@ def witness_candidates(p: TransferFunction) -> Iterator[WitnessPair]:
     Quadratic rings end with the ideal witness, which exists exactly when the
     plant is stabilizable.
     """
-    if p.descriptor.is_delay:
+    if isinstance(p.descriptor, DelayRing):
         makers = (construct_witnesses_delay, reciprocal_witness)
     else:
         makers = (construct_witnesses_quadratic, reciprocal_witness, search_witnesses_quadratic)

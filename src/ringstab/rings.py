@@ -1,16 +1,21 @@
 """The stable ring A, its fraction field F, and membership machinery.
 
-Two concrete rings are supported:
+Two concrete rings are supported, one class each:
 
-* ``quadratic(m)``: A = Z[sqrt(m)*i], elements a + b*sqrt(m)*i with integer
-  a, b.  The causality set Z is {0}, so every fraction is a causal plant.
-* ``delay()``: A = Q[x^2, x^3], the polynomials with no degree-1 term (every
-  monomial x^k with k = 0 or k >= 2 is a product of x^2 and x^3, so a
-  polynomial lies in the span of such monomials exactly when its x^1
-  coefficient vanishes).  The causality set Z consists of the members of A
-  with zero constant term: each such element splits monomial-by-monomial as
-  alpha*x^2 + beta*x^3 with alpha, beta in A.
+* ``QuadraticRing(m)``, made by ``quadratic(m)``: A = Z[sqrt(m)*i], elements
+  a + b*sqrt(m)*i with integer a, b.  The causality set Z is {0}, so every
+  fraction is a causal plant.
+* ``DelayRing()``, made by ``delay()``: A = Q[x^2, x^3], the polynomials with
+  no degree-1 term (every monomial x^k with k = 0 or k >= 2 is a product of
+  x^2 and x^3, so a polynomial lies in the span of such monomials exactly
+  when its x^1 coefficient vanishes).  The causality set Z consists of the
+  members of A with zero constant term: each such element splits
+  monomial-by-monomial as alpha*x^2 + beta*x^3 with alpha, beta in A.
 
+A ring object is the only place that knows its elements: the member check,
+integer constants, canonical fractions, exact division in A, causal
+representations, the causality set, units, and the text, JSON and LaTeX
+forms.  ``RingElement`` and ``TransferFunction`` pair a value with its ring.
 Transfer functions are kept in a canonical reduced form so that equality is
 plain component comparison.
 """
@@ -23,93 +28,266 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Union
 
-from .exact import Poly, QuadElem, is_square, poly_divmod, poly_gcd
+from .exact import ONE, Poly, QuadElem, is_square, poly_divmod, poly_gcd
 
-QUADRATIC = "quadratic"
-DELAY = "delay"
+
+def _rational(obj) -> Fraction:
+    try:
+        return Fraction(obj)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational literal ({exc})")
+
+
+def _latex_frac(q: Fraction) -> str:
+    if q.denominator == 1:
+        return str(q.numerator)
+    sign = "-" if q < 0 else ""
+    return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
 
 
 @dataclass(frozen=True)
-class RingDescriptor:
-    """Selects and parameterizes the stable ring A."""
+class QuadraticRing:
+    """A = Z[sqrt(m)*i]; values are QuadElem, fractions (a1 + a2*sqrt(m)*i)/beta."""
 
-    kind: str
-    m: Optional[int] = None
+    m: int
 
     def __post_init__(self):
-        if self.kind == QUADRATIC:
-            if self.m is None or self.m < 1:
-                raise ValueError("quadratic ring needs a positive integer m")
-            if self.m > 1 and is_square(self.m):
-                # Z[sqrt(k^2) i] = Z[k*i] is a proper sublattice of Z[i]; use
-                # m = 1 with scaled elements instead of a square parameter.
-                raise ValueError(f"m={self.m} is a perfect square; use m=1 (Gaussian integers) scaled")
-        elif self.kind == DELAY:
-            if self.m is not None:
-                raise ValueError("delay ring takes no parameter m")
-        else:
-            raise ValueError(f"unknown ring kind {self.kind!r}")
-
-    @property
-    def is_quadratic(self) -> bool:
-        return self.kind == QUADRATIC
-
-    @property
-    def is_delay(self) -> bool:
-        return self.kind == DELAY
+        if self.m < 1:
+            raise ValueError("quadratic ring needs a positive integer m")
+        if self.m > 1 and is_square(self.m):
+            # Z[sqrt(k^2) i] = Z[k*i] is a proper sublattice of Z[i]; use
+            # m = 1 with scaled elements instead of a square parameter.
+            raise ValueError(f"m={self.m} is a perfect square; use m=1 (Gaussian integers) scaled")
 
     def __str__(self) -> str:
-        return f"Z[sqrt({self.m})i]" if self.is_quadratic else "Q[x^2,x^3]"
+        return f"Z[sqrt({self.m})i]"
+
+    def check(self, v) -> None:
+        """Raise ValueError unless v is a member of A."""
+        if not isinstance(v, QuadElem) or v.m != self.m:
+            raise ValueError("quadratic ring element needs a QuadElem with matching m")
+        if not v.is_integral():
+            raise ValueError(f"{format_quad(v)} has non-integer components; not in {self}")
+
+    def const(self, n) -> QuadElem:
+        return QuadElem.integer(n, self.m)
+
+    def canonical(self, num, den) -> tuple[QuadElem, QuadElem]:
+        """(a1 + a2*sqrt(m)*i, beta) with integer a1, a2, beta > 0, gcd(a1, a2, beta) = 1."""
+        if not isinstance(num, QuadElem):
+            num = QuadElem.of(num, 0, self.m)
+        if not isinstance(den, QuadElem):
+            den = QuadElem.of(den, 0, self.m)
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        f = num / den  # re + im*sqrt(m)i with rational re, im
+        b = lcm(f.re.denominator, f.im.denominator)
+        a1 = f.re.numerator * (b // f.re.denominator)
+        a2 = f.im.numerator * (b // f.im.denominator)
+        g = gcd(gcd(abs(a1), abs(a2)), b)
+        if g:
+            a1, a2, b = a1 // g, a2 // g, b // g
+        else:
+            b = 1
+        return QuadElem.of(a1, a2, self.m), QuadElem.integer(b, self.m)
+
+    def quotient(self, num: QuadElem, den: QuadElem) -> Optional[QuadElem]:
+        """num/den when it lies in A (integral components), else None."""
+        z = num / den
+        return z if z.is_integral() else None
+
+    def causal_pair(self, num: QuadElem, den: QuadElem) -> tuple[QuadElem, QuadElem]:
+        """Z = {0}, so the canonical pair already qualifies."""
+        return num, den
+
+    def in_causality_set(self, v: QuadElem) -> bool:
+        return v.is_zero()
+
+    def is_unit(self, v: QuadElem) -> bool:
+        return v.norm() == 1
+
+    def display_pair(self, num: QuadElem, den: QuadElem) -> tuple[QuadElem, QuadElem]:
+        return num, den
+
+    def format(self, v: QuadElem) -> str:
+        return format_quad(v)
+
+    def parse(self, text: str) -> QuadElem:
+        return parse_quad(text, self.m)
+
+    def json(self) -> dict:
+        return {"kind": "quadratic", "m": self.m}
+
+    def value_json(self, v: QuadElem) -> dict:
+        return {"re": str(v.re), "im": str(v.im)}
+
+    def value_from_json(self, obj) -> QuadElem:
+        if not isinstance(obj, dict) or not {"re", "im"} >= set(obj) or "re" not in obj:
+            raise ValueError("quadratic element needs {'re': 'p/q', 'im': 'p/q'}")
+        return QuadElem.of(_rational(obj["re"]), _rational(obj.get("im", "0")), self.m)
+
+    def latex(self, v: QuadElem) -> str:
+        if v.im == 0:
+            return _latex_frac(v.re)
+        im = "" if abs(v.im) == 1 else _latex_frac(abs(v.im))
+        tail = f"{im}\\sqrt{{{v.m}}}i"
+        if v.re == 0:
+            return tail if v.im > 0 else f"-{tail}"
+        return f"{_latex_frac(v.re)} {'+' if v.im > 0 else '-'} {tail}"
 
 
-def quadratic(m: int) -> RingDescriptor:
-    return RingDescriptor(QUADRATIC, m)
+@dataclass(frozen=True)
+class DelayRing:
+    """A = Q[x^2, x^3]; values are Poly, fractions num/den reduced over Q[x]."""
+
+    def __str__(self) -> str:
+        return "Q[x^2,x^3]"
+
+    def check(self, v) -> None:
+        """Raise ValueError unless v is a member of A."""
+        if not isinstance(v, Poly):
+            raise ValueError("delay ring element needs a Poly")
+        if v.coeff(1) != 0:
+            raise ValueError(f"polynomial with x^1 coefficient {v.coeff(1)} is outside Q[x^2,x^3]")
+
+    def const(self, n) -> Poly:
+        return Poly.constant(n)
+
+    def canonical(self, num, den) -> tuple[Poly, Poly]:
+        """num, den coprime over Q[x], den(0) = 1 when den(0) != 0, else den monic."""
+        if not isinstance(num, Poly) or not isinstance(den, Poly):
+            raise ValueError("delay transfer function needs Poly num/den")
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        if num.is_zero():
+            return Poly.zero(), Poly.one()
+        g = poly_gcd(num, den)
+        num, rem_num = poly_divmod(num, g)
+        den, rem_den = poly_divmod(den, g)
+        if not (rem_num.is_zero() and rem_den.is_zero()):
+            raise ArithmeticError("gcd does not divide num and den")
+        scale = den(0) if den(0) != 0 else den.leading()
+        return num.scale(1 / scale), den.scale(1 / scale)
+
+    def quotient(self, num: Poly, den: Poly) -> Optional[Poly]:
+        """num/den when den | num over Q[x] and the quotient has no x^1 term, else None."""
+        q, r = poly_divmod(num, den)
+        return q if r.is_zero() and q.coeff(1) == 0 else None
+
+    def causal_pair(self, num: Poly, den: Poly) -> Optional[tuple[Poly, Poly]]:
+        """(w*num, w*den) in A with w*den outside Z, for canonical num/den, or None.
+
+        Every polynomial representation is (w*num, w*den); killing both x^1
+        coefficients is a 2x2 linear condition on (w0, w1), solvable with
+        w0 != 0 exactly when den(0) != 0 and num1*den0 = num0*den1.  As
+        den(0) = 1, the factor is then w = 1 - den1*x.
+        """
+        if den(0) == 0 or num.coeff(1) * den.coeff(0) != num.coeff(0) * den.coeff(1):
+            return None
+        w = Poly.from_list([ONE, -den.coeff(1)])
+        n, d = num * w, den * w
+        if n.coeff(1) != 0 or d.coeff(1) != 0 or d(0) == 0:
+            raise ArithmeticError("inflated representation left A")
+        return n, d
+
+    def in_causality_set(self, v: Poly) -> bool:
+        return v.coeff(0) == 0
+
+    def is_unit(self, v: Poly) -> bool:
+        return v.degree == 0
+
+    def display_pair(self, num: Poly, den: Poly) -> tuple[Poly, Poly]:
+        """The causal pair when there is one, with primitive integer coefficients
+        and the denominator's lowest nonzero coefficient positive."""
+        num, den = self.causal_pair(num, den) or (num, den)
+        mult = 1
+        for c in (*num.coeffs, *den.coeffs):
+            mult = lcm(mult, c.denominator)
+        content = 0
+        for c in (*num.coeffs, *den.coeffs):
+            content = gcd(content, abs(int(c * mult)))
+        scale = Fraction(mult, content or 1)
+        low = next((c for c in den.coeffs if c != 0), ONE)
+        if low < 0:
+            scale = -scale
+        return num.scale(scale), den.scale(scale)
+
+    def format(self, v: Poly) -> str:
+        return format_poly(v)
+
+    def parse(self, text: str) -> Poly:
+        return parse_poly(text)
+
+    def json(self) -> dict:
+        return {"kind": "delay"}
+
+    def value_json(self, v: Poly) -> dict:
+        return {"coeffs": [str(c) for c in v.coeffs]}
+
+    def value_from_json(self, obj) -> Poly:
+        if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
+            raise ValueError("delay element needs {'coeffs': ['p/q', ...]} ascending")
+        return Poly.from_list([_rational(c) for c in obj["coeffs"]])
+
+    def latex(self, v: Poly) -> str:
+        if v.is_zero():
+            return "0"
+        parts = []
+        for k, c in enumerate(v.coeffs):
+            if c == 0:
+                continue
+            mag = _latex_frac(abs(c))
+            if k > 0:
+                mag = ("" if abs(c) == 1 else mag) + ("x" if k == 1 else f"x^{{{k}}}")
+            parts.append(("-" if c < 0 else ("+" if parts else "")) + mag)
+        return " ".join(parts)
 
 
-def delay() -> RingDescriptor:
-    return RingDescriptor(DELAY)
+RingDescriptor = Union[QuadraticRing, DelayRing]
+
+
+def quadratic(m: int) -> QuadraticRing:
+    return QuadraticRing(m)
+
+
+def delay() -> DelayRing:
+    return DelayRing()
+
+
+def ring_from_json(obj: dict) -> RingDescriptor:
+    """The ring of a plant file's ``ring`` object; ValueError says what is wrong."""
+    kind = obj.get("kind")
+    if kind == "delay":
+        return DelayRing()
+    if kind != "quadratic":
+        raise ValueError("ring.kind must be 'quadratic' or 'delay'")
+    if "m" in obj and type(obj["m"]) is not int:  # rejects floats, bools and strings
+        raise ValueError(f"ring.m must be a JSON integer, got {obj['m']!r}")
+    try:
+        return QuadraticRing(obj["m"])
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"bad ring descriptor ({exc})")
 
 
 @dataclass(frozen=True)
 class RingElement:
-    """Member of the stable ring A.
-
-    Quadratic: a QuadElem with integer components.  Delay: a Poly whose x^1
-    coefficient is exactly zero.
-    """
+    """Member of the stable ring A: a value its ring's ``check`` accepts."""
 
     descriptor: RingDescriptor
     value: Union[QuadElem, Poly]
 
     def __post_init__(self):
-        if self.descriptor.is_quadratic:
-            v = self.value
-            if not isinstance(v, QuadElem) or v.m != self.descriptor.m:
-                raise ValueError("quadratic ring element needs a QuadElem with matching m")
-            if not v.is_integral():
-                raise ValueError(f"{v} has non-integer components; not in Z[sqrt({v.m})i]")
-        else:
-            v = self.value
-            if not isinstance(v, Poly):
-                raise ValueError("delay ring element needs a Poly")
-            if v.coeff(1) != 0:
-                raise ValueError(f"polynomial with x^1 coefficient {v.coeff(1)} is outside Q[x^2,x^3]")
+        self.descriptor.check(self.value)
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def quad(desc: RingDescriptor, a, b=0) -> "RingElement":
+    def quad(desc: QuadraticRing, a, b=0) -> "RingElement":
         return RingElement(desc, QuadElem.of(a, b, desc.m))
 
     @staticmethod
-    def poly(desc: RingDescriptor, p: Poly) -> "RingElement":
-        return RingElement(desc, p)
-
-    @staticmethod
     def int_const(desc: RingDescriptor, n: int) -> "RingElement":
-        if desc.is_quadratic:
-            return RingElement.quad(desc, n)
-        return RingElement(desc, Poly.constant(n))
+        return RingElement(desc, desc.const(n))
 
     @staticmethod
     def zero(desc: RingDescriptor) -> "RingElement":
@@ -150,8 +328,7 @@ class RingElement:
         return self.value.is_zero()
 
     def to_tf(self) -> "TransferFunction":
-        one = QuadElem.integer(1, self.descriptor.m) if self.descriptor.is_quadratic else Poly.one()
-        return TransferFunction.make(self.descriptor, self.value, one)
+        return TransferFunction.make(self.descriptor, self.value, self.descriptor.const(1))
 
     def __str__(self) -> str:
         return format_element_value(self.descriptor, self.value)
@@ -159,28 +336,18 @@ class RingElement:
 
 def in_causality_set(e: RingElement) -> bool:
     """Membership in Z.  Quadratic: only 0.  Delay: zero constant term."""
-    if e.descriptor.is_quadratic:
-        return e.is_zero()
-    return e.value.coeff(0) == 0
+    return e.descriptor.in_causality_set(e.value)
 
 
 def is_unit(e: RingElement) -> bool:
     """Invertibility in A: norm 1 (quadratic) or a nonzero constant (delay)."""
-    if e.descriptor.is_quadratic:
-        return e.value.norm() == 1
-    return e.value.degree == 0
+    return e.descriptor.is_unit(e.value)
 
 
 @dataclass(frozen=True)
 class TransferFunction:
-    """Reduced fraction num/den over the fraction field F of A.
-
-    Quadratic canonical form: (a1 + a2*sqrt(m)*i)/beta with integer a1, a2,
-    beta > 0 and gcd(a1, a2, beta) = 1 (den stored as the integer QuadElem
-    beta).  Delay canonical form: num, den coprime over Q[x], den scaled so
-    den(0) = 1 when den(0) != 0, else den monic.  Equality on the canonical
-    components is equality in F.
-    """
+    """Reduced fraction num/den over the fraction field F of A, in the ring's
+    ``canonical`` form, so that equality on the components is equality in F."""
 
     descriptor: RingDescriptor
     num: Union[QuadElem, Poly]
@@ -188,36 +355,7 @@ class TransferFunction:
 
     @staticmethod
     def make(desc: RingDescriptor, num, den) -> "TransferFunction":
-        if desc.is_quadratic:
-            if not isinstance(num, QuadElem):
-                num = QuadElem.of(num, 0, desc.m)
-            if not isinstance(den, QuadElem):
-                den = QuadElem.of(den, 0, desc.m)
-            if den.is_zero():
-                raise ZeroDivisionError("zero denominator")
-            f = num / den  # re + im*sqrt(m)i with rational re, im
-            b = lcm(f.re.denominator, f.im.denominator)
-            a1 = f.re.numerator * (b // f.re.denominator)
-            a2 = f.im.numerator * (b // f.im.denominator)
-            g = gcd(gcd(abs(a1), abs(a2)), b)
-            if g:
-                a1, a2, b = a1 // g, a2 // g, b // g
-            else:
-                b = 1
-            return TransferFunction(desc, QuadElem.of(a1, a2, desc.m), QuadElem.integer(b, desc.m))
-        if not isinstance(num, Poly) or not isinstance(den, Poly):
-            raise ValueError("delay transfer function needs Poly num/den")
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            return TransferFunction(desc, Poly.zero(), Poly.one())
-        g = poly_gcd(num, den)
-        num, rem_num = poly_divmod(num, g)
-        den, rem_den = poly_divmod(den, g)
-        if not (rem_num.is_zero() and rem_den.is_zero()):
-            raise ArithmeticError("gcd does not divide num and den")
-        scale = den(0) if den(0) != 0 else den.leading()
-        return TransferFunction(desc, num.scale(1 / scale), den.scale(1 / scale))
+        return TransferFunction(desc, *desc.canonical(num, den))
 
     @staticmethod
     def zero(desc: RingDescriptor) -> "TransferFunction":
@@ -265,33 +403,8 @@ class TransferFunction:
         return out
 
     def display_pair(self) -> tuple[Union[QuadElem, Poly], Union[QuadElem, Poly]]:
-        """num/den rescaled to primitive integer coefficients for printing.
-
-        Quadratic canonical forms are already integral.  Delay fractions are
-        cleared of coefficient denominators and content, with the denominator
-        sign fixed by its lowest nonzero coefficient, which reproduces the
-        familiar integer layout; parsing the printed form recanonicalizes to
-        the same value.
-        """
-        if self.descriptor.is_quadratic:
-            return self.num, self.den
-        num, den = self.num, self.den
-        # Prefer a representation with both parts inside A when one exists
-        # (multiply through by w = den0 - den1*x, as in the causality check).
-        if not num.is_zero() and den(0) != 0 and num.coeff(1) * den.coeff(0) == num.coeff(0) * den.coeff(1):
-            w = Poly.from_list([den.coeff(0), -den.coeff(1)])
-            num, den = num * w, den * w
-        mult = 1
-        for c in (*num.coeffs, *den.coeffs):
-            mult = lcm(mult, c.denominator)
-        content = 0
-        for c in (*num.coeffs, *den.coeffs):
-            content = gcd(content, abs(int(c * mult)))
-        scale = Fraction(mult, content or 1)
-        low = next((c for c in den.coeffs if c != 0), Fraction(1))
-        if low < 0:
-            scale = -scale
-        return num.scale(scale), den.scale(scale)
+        """num/den for printing; parsing the printed form recanonicalizes to the same value."""
+        return self.descriptor.display_pair(self.num, self.den)
 
     def __str__(self) -> str:
         n, d = self.display_pair()
@@ -299,20 +412,9 @@ class TransferFunction:
 
 
 def contains(f: TransferFunction) -> Optional[RingElement]:
-    """The element of A equal to f, or None.
-
-    Quadratic: integrality of the rationalized components.  Delay: den | num
-    over Q[x] and the quotient's x^1 coefficient vanishes.
-    """
-    if f.descriptor.is_quadratic:
-        z = f.num / f.den
-        if z.is_integral():
-            return RingElement(f.descriptor, z)
-        return None
-    q, r = poly_divmod(f.num, f.den)
-    if r.is_zero() and q.coeff(1) == 0:
-        return RingElement(f.descriptor, q)
-    return None
+    """The element of A equal to f, or None."""
+    q = f.descriptor.quotient(f.num, f.den)
+    return None if q is None else RingElement(f.descriptor, q)
 
 
 def divides(a: RingElement, b: RingElement) -> bool:
@@ -320,32 +422,15 @@ def divides(a: RingElement, b: RingElement) -> bool:
     if a.is_zero():
         raise ZeroDivisionError("divisibility by zero")
     a._check(b)
-    return contains(TransferFunction.make(a.descriptor, b.value, a.value)) is not None
+    return a.descriptor.quotient(b.value, a.value) is not None
 
 
 def causal_representation(p: TransferFunction) -> Optional[tuple[RingElement, RingElement]]:
-    """A representation p = n/d with n, d in A and d outside Z, or None.
-
-    Quadratic rings: Z = {0}, so the canonical pair already qualifies.  Delay
-    ring: starting from the canonical reduced num/den, every polynomial
-    representation is (w*num, w*den); killing both x^1 coefficients is a 2x2
-    linear condition on (w0, w1), solvable with w0 != 0 exactly when
-    den(0) != 0 and num1*den0 = num0*den1.  The inflating factor
-    w = 1 - den1*x is then used, so the returned pair is canonical.
-    """
-    if p.descriptor.is_quadratic:
-        return (RingElement(p.descriptor, p.num), RingElement(p.descriptor, p.den))
-    num, den = p.num, p.den
-    if den(0) == 0:
+    """A representation p = n/d with n, d in A and d outside Z, or None."""
+    pair = p.descriptor.causal_pair(p.num, p.den)
+    if pair is None:
         return None
-    if num.coeff(1) * den.coeff(0) != num.coeff(0) * den.coeff(1):
-        return None
-    w = Poly.from_list([Fraction(1), -den.coeff(1)])
-    n = num * w
-    d = den * w
-    if n.coeff(1) != 0 or d.coeff(1) != 0 or d(0) == 0:
-        raise ArithmeticError("inflated representation left A")
-    return (RingElement(p.descriptor, n), RingElement(p.descriptor, d))
+    return RingElement(p.descriptor, pair[0]), RingElement(p.descriptor, pair[1])
 
 
 def is_causal(p: TransferFunction) -> bool:
@@ -355,22 +440,18 @@ def is_causal(p: TransferFunction) -> bool:
 
 # ---------------------------------------------------------------------------
 # Textual element forms: quadratic "a+b*i<m>", delay "c0 + c2*x^2 + ...".
-# parse(format(x)) == x on all values.
+# parse(format(x)) == x on all values.  A term takes at most one sign.
 # ---------------------------------------------------------------------------
-
-def _frac_str(q: Fraction) -> str:
-    return str(q)
-
 
 def format_quad(v: QuadElem) -> str:
     tag = f"i{v.m}"
     if v.im == 0:
-        return _frac_str(v.re)
-    im_part = tag if abs(v.im) == 1 else f"{_frac_str(abs(v.im))}*{tag}"
+        return str(v.re)
+    im_part = tag if abs(v.im) == 1 else f"{abs(v.im)!s}*{tag}"
     if v.re == 0:
         return im_part if v.im > 0 else f"-{im_part}"
     sign = "+" if v.im > 0 else "-"
-    return f"{_frac_str(v.re)}{sign}{im_part}"
+    return f"{v.re!s}{sign}{im_part}"
 
 
 def format_poly(p: Poly) -> str:
@@ -381,10 +462,10 @@ def format_poly(p: Poly) -> str:
         if c == 0:
             continue
         if k == 0:
-            term = _frac_str(abs(c))
+            term = str(abs(c))
         else:
             xk = "x" if k == 1 else f"x^{k}"
-            term = xk if abs(c) == 1 else f"{_frac_str(abs(c))}*{xk}"
+            term = xk if abs(c) == 1 else f"{abs(c)!s}*{xk}"
         if not parts:
             parts.append(term if c > 0 else f"-{term}")
         else:
@@ -393,7 +474,15 @@ def format_poly(p: Poly) -> str:
 
 
 def format_element_value(desc: RingDescriptor, v: Union[QuadElem, Poly]) -> str:
-    return format_quad(v) if desc.is_quadratic else format_poly(v)
+    return desc.format(v)
+
+
+def _unsigned(term: str, text: str) -> tuple[bool, str]:
+    """(negated, body) of a term with at most one leading sign."""
+    body = term.lstrip("+-")
+    if len(term) - len(body) > 1:
+        raise ValueError(f"more than one sign before a term in {text!r}")
+    return term.startswith("-"), body
 
 
 _QUAD_TERM = _re.compile(r"^(?:(?P<coeff>-?\d+(?:/\d+)?)\*)?i(?P<m>\d+)$")
@@ -415,9 +504,7 @@ def parse_quad(text: str, m: int) -> QuadElem:
     im_part = Fraction(0)
     seen_re = seen_im = False
     for chunk in chunks:
-        mt = _QUAD_TERM.match(chunk.lstrip("+"))
-        neg = chunk.startswith("-")
-        body = chunk.lstrip("+-")
+        neg, body = _unsigned(chunk, text)
         mt = _QUAD_TERM.match(body)
         if mt:
             if seen_im:
@@ -449,8 +536,8 @@ def parse_poly(text: str) -> Poly:
         term = raw.strip()
         if not term:
             continue
-        neg = term.startswith("-")
-        body = term.lstrip("+-").strip()
+        neg, body = _unsigned(term, text)
+        body = body.strip()
         mt = _POLY_TERM.match(body)
         if mt:
             k = int(mt.group("exp") or 1)
@@ -466,7 +553,7 @@ def parse_poly(text: str) -> Poly:
 
 
 def parse_element_value(desc: RingDescriptor, text: str):
-    return parse_quad(text, desc.m) if desc.is_quadratic else parse_poly(text)
+    return desc.parse(text)
 
 
 def parse_ring_element(desc: RingDescriptor, text: str) -> RingElement:
@@ -481,8 +568,4 @@ def parse_transfer_function(desc: RingDescriptor, text: str) -> TransferFunction
         return TransferFunction.make(
             desc, parse_element_value(desc, num_text), parse_element_value(desc, den_text)
         )
-    return TransferFunction.make(
-        desc,
-        parse_element_value(desc, s),
-        QuadElem.integer(1, desc.m) if desc.is_quadratic else Poly.one(),
-    )
+    return TransferFunction.make(desc, parse_element_value(desc, s), desc.const(1))

@@ -31,7 +31,7 @@ from .closedloop import FeedbackMatrix, feedback_matrix
 from .coprime import QuadIdeal, factor_ideals
 from .elemfactor import WitnessPair, witness_candidates
 from .exact import ext_gcd_int
-from .rings import RingElement, TransferFunction, contains, is_causal
+from .rings import QuadraticRing, RingElement, TransferFunction, contains, is_causal
 
 
 class SynthesisError(Exception):
@@ -134,7 +134,7 @@ def _check_condition_i(lam1, lam2, a1, a2, omega) -> None:
 
 def _condition_i_shortcut(lam1, lam2, omega):
     desc = lam1.descriptor
-    if not desc.is_quadratic:
+    if not isinstance(desc, QuadraticRing):
         return None, None
     if lam1.value.im != 0 or lam2.value.im != 0:
         return None, None

@@ -311,6 +311,31 @@ class TestReports:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, doc, message", [
+        (["verify", "{plant}", "(1+-i5)/(2)"], None,
+         "controller literal: more than one sign before a term in '1+-i5'"),
+        (["synthesize", "{plant}", "--r1", "1 - -x^2"], DELAY_DOC,
+         "--r1: more than one sign before a term in '1 - -x^2'"),
+        (["synthesize", "{plant}", "--r1", "1/2"], None,
+         "--r1: 1/2 has non-integer components; not in Z[sqrt(5)i]"),
+        (["synthesize", "{plant}"], dict(quad_doc(5, 1, 1, 2), config={"r1": {"re": "1/2"}}),
+         "{plant}: config.r1: 1/2 has non-integer components; not in Z[sqrt(5)i]"),
+        (["analyze", "{plant}"], dict(quad_doc(5, 1, 1, 2), config={"r2": {"re": "1", "im": "-2/3"}}),
+         "{plant}: config.r2: 1-2/3*i5 has non-integer components; not in Z[sqrt(5)i]"),
+        (["analyze", "{plant}"], quad_doc(5, "1/0", 1, 2),
+         "{plant}: plant.num: bad rational literal (Fraction(1, 0))"),
+        (["analyze", "{plant}"], dict(quad_doc(5, 1, 1, 2), ring={"kind": "quadratic", "m": 9}),
+         "{plant}: bad ring descriptor (m=9 is a perfect square; use m=1 (Gaussian integers) scaled)"),
+        (["analyze", "{plant}"], dict(quad_doc(5, 1, 1, 2), ring={"kind": "quadratic"}),
+         "{plant}: bad ring descriptor ('m')"),
+    ], ids=["verify-sign-chain", "r1-poly-sign-chain", "r1-non-integer", "config-non-integer",
+            "config-non-integer-im", "bad-rational", "bad-ring-square", "bad-ring-no-m"])
+    def test_input_error_messages(self, capsys, tmp_path, argv, doc, message):
+        path = plant_file(tmp_path, doc) if doc is not None else fx("quadratic_plant.json")
+        code, out, err = run(capsys, *[path if a == "{plant}" else a for a in argv])
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"error: {message.replace('{plant}', path)}\n"
+
     def test_closed_pipe_is_not_a_traceback(self):
         # the reader is gone before the report is written
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")

@@ -7,6 +7,7 @@ import pytest
 
 from ringstab.exact import Poly, QuadElem
 from ringstab.rings import (
+    DelayRing,
     RingElement,
     TransferFunction,
     causal_representation,
@@ -53,7 +54,9 @@ class TestDescriptors:
             quadratic(0)
 
     def test_delay_takes_no_parameter(self):
-        assert delay().is_delay
+        assert delay() == DelayRing()
+        with pytest.raises(TypeError):
+            DelayRing(5)
 
 
 class TestRingElementValidation:
@@ -201,6 +204,33 @@ class TestDivides:
             divides(RingElement.zero(Z5), RingElement.one(Z5))
 
 
+class TestQuotient:
+    def test_any_representation(self):
+        assert Z5.quotient(QuadElem.of(6, 4, 5), QuadElem.of(2, 0, 5)) == QuadElem.of(3, 2, 5)
+        assert Z5.quotient(QuadElem.of(6, 4, 5), QuadElem.of(4, 0, 5)) is None
+        assert D.quotient(Poly.of(2, 0, 0, 0, -2), Poly.of(2, 0, -2)) == Poly.of(1, 0, 1)
+        assert D.quotient(Poly.of(1, 0, 0, -1), Poly.of(1, -1)) is None  # 1 + x + x^2 leaves A
+        assert D.quotient(Poly.of(1, 0, 1), Poly.of(1, 0, -1)) is None
+
+    def test_agrees_with_transfer_function_division(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            if rng.random() < 0.5:
+                m = rng.choice((1, 2, 5, 13))
+                desc = quadratic(m)
+                b, c = (QuadElem.of(rng.randint(-9, 9), rng.randint(-3, 3), m) for _ in range(2))
+            else:
+                desc = D
+                b = rand_a_poly(rng, 2, span=3)
+                c = Poly.from_list([F(rng.randint(-2, 2)) for _ in range(3)])  # may carry an x term
+            if b.is_zero():
+                continue
+            a = b * c + desc.const(rng.choice((0, 0, 1)))
+            via_tf = contains(TransferFunction.make(desc, a, b))
+            q = desc.quotient(a, b)
+            assert (None if q is None else RingElement(desc, q)) == via_tf
+
+
 class TestUnits:
     def test_quadratic_units(self):
         assert is_unit(RingElement.quad(Z5, -1))
@@ -270,6 +300,22 @@ class TestTextualForms:
         assert parse_quad("-1+i5", 5) == QuadElem.of(-1, 1, 5)
         assert format_poly(Poly.of(1, 0, F(-7, 9), F(2, 9))) == "1 - 7/9*x^2 + 2/9*x^3"
         assert parse_poly("1 - 7/9*x^2 + 2/9*x^3") == Poly.of(1, 0, F(-7, 9), F(2, 9))
+
+    @pytest.mark.parametrize("text", ["1+-i5", "+-1", "--1", "-+i5", "1--2*i5"])
+    def test_quadratic_sign_chain_is_rejected(self, text):
+        with pytest.raises(ValueError, match="more than one sign before a term"):
+            parse_quad(text, 5)
+
+    @pytest.mark.parametrize("text", ["1 - -x^2", "+-1", "--x^3", "x^2 + --1"])
+    def test_poly_sign_chain_is_rejected(self, text):
+        with pytest.raises(ValueError, match="more than one sign before a term"):
+            parse_poly(text)
+
+    def test_single_signs_still_parse(self):
+        assert parse_quad("-1-i5", 5) == QuadElem.of(-1, -1, 5)
+        assert parse_quad("+1+i5", 5) == QuadElem.of(1, 1, 5)
+        assert parse_poly("-1 - x^2") == Poly.of(-1, 0, -1)
+        assert parse_poly("1 + -x^2") == Poly.of(1, 0, -1)
 
     def test_element_roundtrip(self):
         e = RingElement.quad(Z5, 7, -3)

@@ -16,7 +16,7 @@ from ringstab.elemfactor import (
     witness_candidates,
 )
 from ringstab.exact import Poly, QuadElem, ext_gcd_int
-from ringstab.rings import RingElement, TransferFunction, contains, delay, quadratic
+from ringstab.rings import QuadraticRing, RingElement, TransferFunction, contains, delay, quadratic
 from ringstab.synthesis import (
     CoprimePairLocal,
     SynthesisConfig,
@@ -287,7 +287,7 @@ def _random_plant(rng, ring):
 
 
 def _small_r(rng, desc):
-    if desc.is_quadratic:
+    if isinstance(desc, QuadraticRing):
         return RingElement.quad(desc, rng.randint(-2, 2), rng.randint(-1, 1))
     return RingElement(desc, Poly.from_list([F(rng.randint(-2, 2)), F(0), F(rng.randint(-2, 2))]))
 
