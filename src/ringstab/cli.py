@@ -27,7 +27,6 @@ from .elemfactor import (
     WitnessPair,
     witness_candidates,
 )
-from .exact import poly_gcd
 from .rings import (
     DelayRing,
     RingDescriptor,
@@ -282,12 +281,11 @@ def cmd_analyze(args, rep: Report) -> None:
         return
     if isinstance(desc, DelayRing):
         n, d = causal_representation(p)
-        g = poly_gcd(n.value, d.value)
-        g = g.scale(1 / g(0))
+        w = format_poly(desc.causal_factor(p.num, p.den))
         rep.put(
             "representation",
-            {"n": str(n), "d": str(d), "gcd": format_poly(g)},
-            f"A-representation: n = {n}, d = {d}, gcd = {format_poly(g)}",
+            {"n": str(n), "d": str(d), "gcd": w},
+            f"A-representation: n = {n}, d = {d}, gcd = {w}",
         )
     witness = next(witness_candidates(p), None)
     if witness is None:  # only a quadratic plant with a non-invertible G gets no candidate
@@ -356,13 +354,13 @@ def cmd_verify(args, rep: Report) -> None:
         raise PlantFileError("no controller given (positional literal or 'controller' in the file)")
     rep.put("plant", _tf_json(p), f"plant: {p}")
     rep.put("controller", _tf_json(c), f"controller: {c}")
-    one = TransferFunction.one(pf.descriptor)
-    if (one + p * c).is_zero():
+    try:
+        h = feedback_matrix(p, c)
+    except ZeroDivisionError:
         rep.put("well_posed", False, "loop is ill-posed: 1 + p*c = 0")
         rep.put("stable", False)
         rep.status = EXIT_UNKNOWN
         return
-    h = feedback_matrix(p, c)
     entries = {}
     for name, tf in (("h11", h.h11), ("h12", h.h12), ("h21", h.h21), ("h22", h.h22)):
         member = contains(tf) is not None
@@ -492,11 +490,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _positional(arg: str) -> bool:
+    """True for an argument argparse reads as a value, not as an option."""
+    return not arg.startswith("-") or arg[1:].isdecimal()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        # argparse binds verify's optional controller positional together with
+        # plantfile, so a literal after an option arrives here as an extra.
+        if args.cmd == "verify" and args.controller is None and len(extras) == 1 and _positional(extras[0]):
+            args.controller = extras.pop()
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     rep = Report(args.cmd, argv)

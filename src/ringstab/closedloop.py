@@ -1,13 +1,13 @@
 """Closed-loop matrix, stability predicate, and the Z[sqrt(5)i] parameterization.
 
-The feedback interconnection of plant p and controller c is summarized by
+The feedback interconnection of p = np/dp and c = nc/dc is summarized by
 
-    H(p, c) = [[ (1+pc)^-1,      -p*(1+pc)^-1 ],
-               [ c*(1+pc)^-1,     (1+pc)^-1   ]]
+    H(p, c) = [[ dp*dc, -np*dc ],  / Delta  =  [[ (1+pc)^-1,   -p*(1+pc)^-1 ],
+               [ nc*dp,  dp*dc ]]               [ c*(1+pc)^-1,  (1+pc)^-1   ]]
 
-(well-posed when 1 + p*c != 0); the loop is stable exactly when all four
-entries lie in A.  This sign convention is pinned by the classical worked
-example: p = (1+sqrt(5)i)/2 with c = (-1+sqrt(5)i)/2 gives
+with Delta = dp*dc + np*nc (well-posed when Delta != 0); the loop is stable
+exactly when all four entries lie in A.  This sign convention is pinned by the
+classical worked example: p = (1+sqrt(5)i)/2 with c = (-1+sqrt(5)i)/2 gives
 
     H0 = [[-2, 1+sqrt(5)i], [1-sqrt(5)i, -2]].
 
@@ -39,26 +39,26 @@ class FeedbackMatrix:
 
 
 def feedback_matrix(p: TransferFunction, c: TransferFunction) -> FeedbackMatrix:
-    """H(p, c) by exact field arithmetic; raises if the loop is ill-posed."""
-    one = TransferFunction.one(p.descriptor)
-    ret = one + p * c
-    if ret.is_zero():
+    """H(p, c) over the one denominator Delta; raises if the loop is ill-posed."""
+    p._check(c)
+    desc = p.descriptor
+    diag = p.den * c.den
+    delta = diag + p.num * c.num
+    if delta.is_zero():
         raise ZeroDivisionError("ill-posed loop: 1 + p*c = 0")
-    h = ret.inverse()
-    h11 = h
-    h12 = -(p * h)
-    h21 = c * h
-    h22 = h
-    stable = all(contains(e) is not None for e in (h11, h12, h21, h22))
-    return FeedbackMatrix(h11, h12, h21, h22, well_posed=True, stable=stable)
+    h11 = TransferFunction.make(desc, diag, delta)
+    h12 = TransferFunction.make(desc, -(p.num * c.den), delta)
+    h21 = TransferFunction.make(desc, c.num * p.den, delta)
+    stable = all(contains(e) is not None for e in (h11, h12, h21))
+    return FeedbackMatrix(h11, h12, h21, h11, well_posed=True, stable=stable)
 
 
 def is_stable(p: TransferFunction, c: TransferFunction) -> bool:
     """True iff the loop is well-posed and every entry of H(p, c) lies in A."""
-    one = TransferFunction.one(p.descriptor)
-    if (one + p * c).is_zero():
+    try:
+        return feedback_matrix(p, c).stable
+    except ZeroDivisionError:
         return False
-    return feedback_matrix(p, c).stable
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,9 @@ re-verified on construction.  Construction strategies:
   the ideals (num)*G^-1 and (den)*G^-1 (``coprime.factor_ideals``), and the
   least lam in L1 with 1 - lam in L2 is the least point of one coset of
   L1*L2.  A non-invertible G means the plant is not stabilizable.
-* delay construction: divide out the gcd of the canonical in-ring
-  representation (normalized to constant term 1; its degree is at most 1),
-  re-inflate the reduced denominator by a multiplier 1 + s*x + c*s^2*x^2
+* delay construction: the gcd of the canonical in-ring representation
+  (w*num, w*den) is the causal factor w = 1 - den1*x of ``DelayRing``;
+  re-inflate the reduced denominator den by a multiplier 1 + s*x + c*s^2*x^2
   (s the gcd slope, c from a fixed constant sequence) until it is coprime to
   the numerator, and take the Bezout cofactors in A from ``delay_bezout``.
 * reciprocal: when q = 1/p lies in A, (lam1, lam2) = (1 - q, q) with
@@ -35,8 +35,8 @@ from math import gcd
 from typing import Iterator, Optional, Union
 
 from .coprime import QuadIdeal, delay_bezout, factor_ideals
-from .exact import ZERO, Poly, ext_gcd_int, poly_divmod, poly_gcd
-from .rings import DelayRing, QuadraticRing, RingElement, TransferFunction, causal_representation, contains
+from .exact import ZERO, Poly, ext_gcd_int
+from .rings import DelayRing, QuadraticRing, RingElement, TransferFunction, contains
 
 
 def _multiplier_constants():
@@ -204,33 +204,27 @@ def search_witnesses_quadratic(p: TransferFunction) -> Optional[WitnessPair]:
 def construct_witnesses_delay(p: TransferFunction) -> WitnessPair:
     """Delay-ring witnesses via the gcd/multiplier/Bezout-shift construction.
 
-    Works on the canonical inflated representation (n, d) of the causal plant,
-    whose gcd w over Q[x] has degree at most 1.  The witnesses are
-    (n, den_reduced*multiplier); when w also divides den_reduced (the reduced
-    denominator vanishes where w does) they would share w for every
-    multiplier, so the multiplier moves to the other side:
-    (num_reduced*multiplier, d).
+    Works on the canonical inflated representation (n, d) = (w*num, w*den) of
+    the causal plant, whose gcd is the causal factor w, so (num, den) is the
+    reduced pair.  The witnesses are (n, den*multiplier); when w also divides
+    den (den vanishes where w does) they would share w for every multiplier,
+    so the multiplier moves to the other side: (num*multiplier, d).
     """
     desc = p.descriptor
     if not isinstance(desc, DelayRing):
         raise ValueError("delay construction on a non-delay plant")
     if contains(p) is not None:
         raise ValueError("plant lies in A; synthesis uses the trivial controller instead")
-    representation = causal_representation(p)
-    if representation is None:
+    w = desc.causal_factor(p.num, p.den)
+    if w is None:
         raise ValueError("plant is not causal")
-    n, d = representation[0].value, representation[1].value
-
-    common = poly_gcd(n, d)
-    common = common.scale(1 / common(0))
-    slope = common.coeff(1)
-    num_red = poly_divmod(n, common)[0]
-    den_red = poly_divmod(d, common)[0]
-    swap = slope != 0 and den_red(-1 / slope) == 0
+    n, d = p.num * w, p.den * w
+    slope = w.coeff(1)
+    swap = slope != 0 and p.den(-1 / slope) == 0
     # With slope 0 the gcd is 1, so the plain pair (multiplier 1) is coprime.
     for constant in _multiplier_constants() if slope else [ZERO]:
         mult = Poly.from_list([Fraction(1), slope, constant * slope * slope])
-        num_infl, den_infl = num_red * mult, den_red * mult
+        num_infl, den_infl = p.num * mult, p.den * mult
         lam1, lam2 = (num_infl, d) if swap else (n, den_infl)
         bezout = delay_bezout([lam1, lam2])
         if bezout is not None:
@@ -238,12 +232,12 @@ def construct_witnesses_delay(p: TransferFunction) -> WitnessPair:
     (cof_num, cof_den), (shift, _), (u, v) = bezout.qx, bezout.shifts, bezout.cofactors
 
     trace = DelayTrace(
-        gcd=common,
+        gcd=w,
         gcd_slope=slope,
         multiplier_constant=constant,
         multiplier=mult,
-        num_reduced=num_red,
-        den_reduced=den_red,
+        num_reduced=p.num,
+        den_reduced=p.den,
         num_inflated=num_infl,
         den_inflated=den_infl,
         cof_num=cof_num,

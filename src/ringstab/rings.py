@@ -31,7 +31,9 @@ from typing import Optional, Union
 from .exact import ONE, Poly, QuadElem, is_square, poly_divmod, poly_gcd
 
 
-def _rational(obj) -> Fraction:
+def _rational(obj, field: str) -> Fraction:
+    if isinstance(obj, (float, bool)):  # Fraction(0.1) is the binary float, Fraction(True) is 1
+        raise ValueError(f"{field} must be a JSON integer or a rational string, got {obj!r}")
     try:
         return Fraction(obj)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -124,7 +126,7 @@ class QuadraticRing:
     def value_from_json(self, obj) -> QuadElem:
         if not isinstance(obj, dict) or not {"re", "im"} >= set(obj) or "re" not in obj:
             raise ValueError("quadratic element needs {'re': 'p/q', 'im': 'p/q'}")
-        return QuadElem.of(_rational(obj["re"]), _rational(obj.get("im", "0")), self.m)
+        return QuadElem.of(_rational(obj["re"], "re"), _rational(obj.get("im", "0"), "im"), self.m)
 
     def latex(self, v: QuadElem) -> str:
         if v.im == 0:
@@ -174,17 +176,23 @@ class DelayRing:
         q, r = poly_divmod(num, den)
         return q if r.is_zero() and q.coeff(1) == 0 else None
 
-    def causal_pair(self, num: Poly, den: Poly) -> Optional[tuple[Poly, Poly]]:
-        """(w*num, w*den) in A with w*den outside Z, for canonical num/den, or None.
+    def causal_factor(self, num: Poly, den: Poly) -> Optional[Poly]:
+        """w with (w*num, w*den) in A and w*den outside Z, for canonical num/den, or None.
 
         Every polynomial representation is (w*num, w*den); killing both x^1
         coefficients is a 2x2 linear condition on (w0, w1), solvable with
         w0 != 0 exactly when den(0) != 0 and num1*den0 = num0*den1.  As
-        den(0) = 1, the factor is then w = 1 - den1*x.
+        den(0) = 1, w = 1 - den1*x, and as num, den are coprime, w = gcd(w*num, w*den).
         """
         if den(0) == 0 or num.coeff(1) * den.coeff(0) != num.coeff(0) * den.coeff(1):
             return None
-        w = Poly.from_list([ONE, -den.coeff(1)])
+        return Poly.from_list([ONE, -den.coeff(1)])
+
+    def causal_pair(self, num: Poly, den: Poly) -> Optional[tuple[Poly, Poly]]:
+        """(w*num, w*den) for the ``causal_factor`` w, or None."""
+        w = self.causal_factor(num, den)
+        if w is None:
+            return None
         n, d = num * w, den * w
         if n.coeff(1) != 0 or d.coeff(1) != 0 or d(0) == 0:
             raise ArithmeticError("inflated representation left A")
@@ -227,7 +235,7 @@ class DelayRing:
     def value_from_json(self, obj) -> Poly:
         if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
             raise ValueError("delay element needs {'coeffs': ['p/q', ...]} ascending")
-        return Poly.from_list([_rational(c) for c in obj["coeffs"]])
+        return Poly.from_list([_rational(c, f"coeffs[{k}]") for k, c in enumerate(obj["coeffs"])])
 
     def latex(self, v: Poly) -> str:
         if v.is_zero():

@@ -183,6 +183,25 @@ class TestVerify:
         code, _, err = run(capsys, "verify", fx("delay_plant.json"))
         assert code == EXIT_PARSE
 
+    def test_ill_posed_loop(self, capsys):
+        # c = -1/p for p = (1+sqrt(5)i)/2, so 1 + p*c = 0
+        code, doc = run_json(capsys, "verify", fx("quadratic_plant.json"), "(-1+i5)/(3)")
+        assert code == EXIT_UNKNOWN
+        assert doc["well_posed"] is False and doc["stable"] is False
+        assert "H" not in doc
+
+    @pytest.mark.parametrize("literal, code", [("(-1+i5)/(2)", EXIT_OK), ("-1", EXIT_UNKNOWN)])
+    def test_controller_literal_after_option(self, capsys, literal, code):
+        plant = fx("quadratic_plant.json")
+        assert run(capsys, "verify", plant, "--latex", literal) == run(capsys, "verify", plant, literal, "--latex")
+        assert run(capsys, "verify", plant, "--latex", literal)[0] == code
+        after = run(capsys, "verify", plant, "--json", literal)
+        before = run(capsys, "verify", plant, literal, "--json")
+        assert after[0] == before[0] == code
+        docs = [json.loads(out) for _, out, _ in (after, before)]
+        assert [doc.pop("argv") for doc in docs] == [["verify", plant, "--json", literal], ["verify", plant, literal, "--json"]]
+        assert docs[0] == docs[1]
+
 
 class TestCoprimeFactorization:
     def test_quadratic_plant_not_exists(self, capsys):
@@ -267,6 +286,13 @@ class TestReports:
 
         walk(doc)
 
+    def test_json_integer_components(self, capsys, tmp_path):
+        # JSON integers read exactly, like the rational strings they stand for
+        as_ints = {"ring": {"kind": "delay"}, "plant": {"num": {"coeffs": [1, 0, 0, -1]}, "den": {"coeffs": [1, 0, -1]}}}
+        code, doc = run_json(capsys, "analyze", plant_file(tmp_path, as_ints))
+        assert code == EXIT_OK
+        assert doc["plant"] == run_json(capsys, "analyze", fx("delay_plant.json"))[1]["plant"]
+
     def test_plant_file_roundtrip(self):
         pf = PlantFile.load(fx("quadratic_plant.json"))
         doc = pf.to_dict()
@@ -299,11 +325,20 @@ class TestReports:
         (["analyze", "{plant}"], dict(quad_doc(5, 1, 1, 2), ring={"kind": "quadratic", "m": 2.5})),
         (["analyze", "{plant}"], dict(quad_doc(5, 1, 1, 2), ring={"kind": "quadratic", "m": True})),
         (["analyze", "{plant}"], dict(quad_doc(5, 1, 1, 2), ring={"kind": "quadratic", "m": "5"})),
+        (["analyze", "{plant}"], {"ring": {"kind": "quadratic", "m": 5}, "plant": {"num": {"re": 0.1}, "den": {"re": "2"}}}),
+        (["analyze", "{plant}"], {"ring": {"kind": "quadratic", "m": 5}, "plant": {"num": {"re": 1, "im": True}, "den": {"re": 2}}}),
+        (["analyze", "{plant}"], {"ring": {"kind": "delay"}, "plant": {"num": {"coeffs": [0.1, 0, 1]}, "den": {"coeffs": ["1"]}}}),
+        (["analyze", "{plant}"], {"ring": {"kind": "delay"}, "plant": {"num": {"coeffs": [1]}, "den": {"coeffs": [True]}}}),
+        (["synthesize", "{plant}"], dict(DELAY_DOC, config={"r1": {"coeffs": [1.0]}})),
+        (["verify", "{plant}", "--json", "(-1+i5)/(2)", "(1)/(2)"], quad_doc(5, 1, 1, 2)),
+        (["verify", "{plant}", "(-1+i5)/(2)", "--json", "(1)/(2)"], quad_doc(5, 1, 1, 2)),
     ], ids=["r1-degree-one", "r1-unparsable", "plant-list", "ring-string", "coeffs-number", "coeffs-string",
             "re-list", "config-omega-zero",
             "omega-negative", "omega-zero", "family-omega-zero", "analyze-omega-max", "synthesize-omega-max",
             "family-omega-max", "config-unknown-key", "usage-error", "bound-flag", "analyze-box-flag",
-            "synthesize-box-flag", "cf-box-flag", "m-float", "m-bool", "m-string"])
+            "synthesize-box-flag", "cf-box-flag", "m-float", "m-bool", "m-string", "re-float", "im-bool",
+            "coeffs-float", "coeffs-bool", "config-float", "verify-two-literals-after-option",
+            "verify-two-literals"])
     def test_input_errors_exit_2_with_one_line(self, capsys, tmp_path, argv, doc):
         path = plant_file(tmp_path, doc) if doc is not None else None
         code, out, err = run(capsys, *[path if a == "{plant}" else a for a in argv])
@@ -328,8 +363,19 @@ class TestReports:
          "{plant}: bad ring descriptor (m=9 is a perfect square; use m=1 (Gaussian integers) scaled)"),
         (["analyze", "{plant}"], dict(quad_doc(5, 1, 1, 2), ring={"kind": "quadratic"}),
          "{plant}: bad ring descriptor ('m')"),
+        (["analyze", "{plant}"], {"ring": {"kind": "quadratic", "m": 5}, "plant": {"num": {"re": 0.1}, "den": {"re": "2"}}},
+         "{plant}: plant.num: re must be a JSON integer or a rational string, got 0.1"),
+        (["analyze", "{plant}"], {"ring": {"kind": "delay"}, "plant": {"num": {"coeffs": [1]}, "den": {"coeffs": [1, 0, False]}}},
+         "{plant}: plant.den: coeffs[2] must be a JSON integer or a rational string, got False"),
+        (["verify", "{plant}", "--json", "a", "b"], None, "unrecognized arguments: a b"),
+        (["verify", "{plant}", "a", "--json", "b"], None, "unrecognized arguments: b"),
+        (["verify", "{plant}", "--json", "--bogus"], None, "unrecognized arguments: --bogus"),
+        (["verify", "{plant}", "--json", "-1+i5"], None, "unrecognized arguments: -1+i5"),
+        (["synthesize", "{plant}", "--json", "(1)/(2)"], None, "unrecognized arguments: (1)/(2)"),
     ], ids=["verify-sign-chain", "r1-poly-sign-chain", "r1-non-integer", "config-non-integer",
-            "config-non-integer-im", "bad-rational", "bad-ring-square", "bad-ring-no-m"])
+            "config-non-integer-im", "bad-rational", "bad-ring-square", "bad-ring-no-m", "re-float",
+            "coeffs-bool", "verify-two-literals-after-option", "verify-two-literals", "verify-unknown-option",
+            "verify-option-like-literal", "synthesize-extra-positional"])
     def test_input_error_messages(self, capsys, tmp_path, argv, doc, message):
         path = plant_file(tmp_path, doc) if doc is not None else fx("quadratic_plant.json")
         code, out, err = run(capsys, *[path if a == "{plant}" else a for a in argv])

@@ -14,6 +14,7 @@ from ringstab.closedloop import (
 )
 from ringstab.exact import Poly, QuadElem
 from ringstab.rings import RingElement, TransferFunction, contains, delay, quadratic
+from ringstab.synthesis import SynthesisError, synthesize
 
 Z5 = quadratic(5)
 D = delay()
@@ -73,6 +74,59 @@ class TestFeedbackMatrix:
                 continue
             h = feedback_matrix(p, c)
             assert h.h11 == h.h22
+
+
+def reference_entries(p, c):
+    """H(p, c) by field arithmetic: h = (1 + p*c)^-1, then -p*h and c*h."""
+    one = TransferFunction.one(p.descriptor)
+    h = (one + p * c).inverse()
+    return [h, -(p * h), c * h, h]
+
+
+def random_tf(rng, desc):
+    if desc == D:
+        def draw():
+            return Poly.from_list([rng.randint(-4, 4) for _ in range(rng.randint(1, 5))])
+    else:
+        def draw():
+            return QuadElem.of(rng.randint(-9, 9), rng.randint(-9, 9), desc.m)
+    num, den = draw(), draw()
+    while den.is_zero():
+        den = draw()
+    return TransferFunction.make(desc, num, den)
+
+
+class TestDifferentialAgainstFieldArithmetic:
+    """The one-Delta feedback_matrix equals the field-arithmetic reference."""
+
+    @pytest.mark.parametrize("desc", [Z5, quadratic(3), D], ids=str)
+    def test_seeded_pairs(self, desc):
+        rng = random.Random(f"closed-loop {desc}")
+        kinds = {"stable": 0, "unstable": 0, "ill-posed": 0}
+        for i in range(60):
+            p = random_tf(rng, desc)
+            if i % 6 == 0:
+                try:  # a stabilizing controller, when synthesis finds one
+                    c = synthesize(p).controller
+                except SynthesisError:
+                    continue
+            elif i % 6 == 1 and not p.is_zero():
+                c = -p.inverse()  # 1 + p*c = 0
+            else:
+                c = random_tf(rng, desc)
+            if (TransferFunction.one(desc) + p * c).is_zero():
+                kinds["ill-posed"] += 1
+                with pytest.raises(ZeroDivisionError):
+                    feedback_matrix(p, c)
+                assert not is_stable(p, c)
+                continue
+            ref = reference_entries(p, c)
+            h = feedback_matrix(p, c)
+            assert h.entries() == ref  # same canonical (num, den), so the same printed report
+            stable = all(contains(e) is not None for e in ref)
+            assert h.stable == is_stable(p, c) == stable
+            kinds["stable" if stable else "unstable"] += 1
+        assert all(kinds.values()), kinds
 
 
 class TestIsStable:

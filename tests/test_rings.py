@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ringstab.exact import Poly, QuadElem
+from ringstab.exact import Poly, QuadElem, poly_gcd
 from ringstab.rings import (
     DelayRing,
     RingElement,
@@ -125,6 +125,36 @@ class TestCausality:
 
     def test_zero_plant_causal(self):
         assert is_causal(delay_tf(Poly.zero(), Poly.one()))
+
+    def test_causal_factor_is_gcd_of_causal_pair(self):
+        # The delay construction and `analyze` read gcd(n, d) of the causal
+        # pair off the factor w instead of computing it; this pins that.
+        rng = random.Random(8080)
+        slopes = set()
+        for _ in range(150):
+            # n = w0*f, d = w0*g in A for w0 = 1 + a*x: f1 = -a*f0 and g1 = -a*g0
+            a = F(rng.randint(-4, 4), rng.randint(1, 3))
+            f = [F(rng.randint(-5, 5)) for _ in range(rng.randint(1, 5))]
+            g = [F(rng.randint(1, 5))] + [F(rng.randint(-5, 5)) for _ in range(rng.randint(0, 5))]
+            w0 = Poly.of(1, a)
+            f = Poly.from_list(f[:1] + [-a * f[0]] + f[2:])
+            g = Poly.from_list(g[:1] + [-a * g[0]] + g[2:])
+            p = delay_tf(w0 * f, w0 * g)
+            n, d = D.causal_pair(p.num, p.den)
+            w = D.causal_factor(p.num, p.den)
+            if p.is_zero():
+                assert w == Poly.one()
+                continue
+            common = poly_gcd(n, d)
+            assert w == common.scale(1 / common(0))
+            slopes.add(w.coeff(1))
+        assert len(slopes) > 5  # the factor is not always 1
+
+    def test_causal_factor_none_for_noncausal(self):
+        for num, den in ((Poly.one(), Poly.x_pow(2)), (Poly.of(1, 1), Poly.of(1, 2)), (Poly.of(0, 1), Poly.one())):
+            p = delay_tf(num, den)
+            assert D.causal_factor(p.num, p.den) is None
+            assert D.causal_pair(p.num, p.den) is None
 
 
 class TestCausalitySet:
