@@ -34,7 +34,6 @@ from .coprime import (
 from .elemfactor import (
     DelayTrace,
     IdealTrace,
-    LambdaSet,
     QuadraticTrace,
     ReciprocalTrace,
     Which,
@@ -78,7 +77,7 @@ from .synthesis import (
     SynthesisError,
     SynthesisResult,
     check_condition_ii,
-    solve_condition_i,
+    condition_i_solutions,
     synthesize,
 )
 

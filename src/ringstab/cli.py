@@ -12,6 +12,7 @@ Exit codes: 0 verified, 2 parse/usage error, 3 unverified or unknown,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -19,14 +20,8 @@ from typing import Optional
 
 from . import coprime as cp
 from .closedloop import feedback_matrix
-from .elemfactor import (
-    DelayTrace,
-    IdealTrace,
-    QuadraticTrace,
-    ReciprocalTrace,
-    WitnessPair,
-    witness_candidates,
-)
+from .elemfactor import WitnessPair, witness_candidates
+from .exact import Poly
 from .rings import (
     DelayRing,
     RingDescriptor,
@@ -157,40 +152,17 @@ def _elem_str(e: Optional[RingElement]) -> Optional[str]:
 
 
 def _trace_json(trace) -> dict:
-    if isinstance(trace, QuadraticTrace):
-        return {
-            "kind": "quadratic_fast_path",
-            "num_re": trace.num_re,
-            "num_im": trace.num_im,
-            "den": trace.den,
-            "num_norm": trace.num_norm,
-            "norm_den_gcd": trace.norm_den_gcd,
-            "norm_cofactor": trace.norm_cofactor,
-        }
-    if isinstance(trace, DelayTrace):
-        return {
-            "kind": "delay_construction",
-            "gcd": format_poly(trace.gcd),
-            "gcd_slope": str(trace.gcd_slope),
-            "multiplier_constant": str(trace.multiplier_constant),
-            "multiplier": format_poly(trace.multiplier),
-            "num_reduced": format_poly(trace.num_reduced),
-            "den_reduced": format_poly(trace.den_reduced),
-            "num_inflated": format_poly(trace.num_inflated),
-            "den_inflated": format_poly(trace.den_inflated),
-            "cof_num": format_poly(trace.cof_num),
-            "cof_den": format_poly(trace.cof_den),
-            "shift": format_poly(trace.shift),
-            "cof_num0": str(trace.cof_num0),
-            "cof_num1": str(trace.cof_num1),
-            "cof_den0": str(trace.cof_den0),
-            "cof_den1": str(trace.cof_den1),
-        }
-    if isinstance(trace, ReciprocalTrace):
-        return {"kind": "reciprocal", "q": str(trace.inverse)}
-    if isinstance(trace, IdealTrace):
-        return {"kind": "factor_ideals", "lambda1": _ideal_json(trace.lam1), "lambda2": _ideal_json(trace.lam2)}
-    return {"kind": "unknown"}
+    out = {"kind": trace.kind}
+    for f in dataclasses.fields(trace):
+        value = getattr(trace, f.name)
+        if isinstance(value, Poly):
+            value = format_poly(value)
+        elif isinstance(value, cp.QuadIdeal):
+            value = _ideal_json(value)
+        elif not isinstance(value, int):
+            value = str(value)
+        out[f.name] = value
+    return out
 
 
 def _witness_json(w: WitnessPair) -> dict:
@@ -362,8 +334,8 @@ def cmd_verify(args, rep: Report) -> None:
         rep.status = EXIT_UNKNOWN
         return
     entries = {}
-    for name, tf in (("h11", h.h11), ("h12", h.h12), ("h21", h.h21), ("h22", h.h22)):
-        member = contains(tf) is not None
+    for name, tf, element in zip(("h11", "h12", "h21", "h22"), h.entries(), h.members):
+        member = element is not None
         entries[name] = {"value": str(tf), "in_ring": member}
         rep.say(f"{name} = {tf}   in A: {member}")
         if args.latex:
@@ -457,24 +429,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, plantfile=True):
+    def common(sp, plantfile=True, latex=False):
         if plantfile:
             sp.add_argument("plantfile", help="JSON plant description")
         sp.add_argument("--json", action="store_true", help="machine-readable report")
-        sp.add_argument("--latex", action="store_true", help="include LaTeX renderings")
+        if latex:
+            sp.add_argument("--latex", action="store_true", help="include LaTeX renderings")
 
     sp = sub.add_parser("analyze", help="causality, canonical form, factor witnesses")
     common(sp)
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("synthesize", help="construct and verify a stabilizing controller")
-    common(sp)
+    common(sp, latex=True)
     sp.add_argument("--r1", help="free parameter r1 (ring element literal)")
     sp.add_argument("--r2", help="free parameter r2 (ring element literal)")
     sp.set_defaults(func=cmd_synthesize)
 
     sp = sub.add_parser("verify", help="check closed-loop stability of a plant/controller pair")
-    common(sp)
+    common(sp, latex=True)
     sp.add_argument("controller", nargs="?", help="controller literal, e.g. '(-1+1*i5)/(2)'")
     sp.set_defaults(func=cmd_verify)
 
@@ -501,9 +474,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args, extras = parser.parse_known_args(argv)
         # argparse binds verify's optional controller positional together with
-        # plantfile, so a literal after an option arrives here as an extra.
-        if args.cmd == "verify" and args.controller is None and len(extras) == 1 and _positional(extras[0]):
-            args.controller = extras.pop()
+        # plantfile, so a literal after an option arrives here as an extra, and
+        # one after ``--`` (say ``-- -1+i5``) together with the ``--``.
+        if args.cmd == "verify" and args.controller is None:
+            if len(extras) == 2 and extras[0] == "--":
+                args.controller = extras.pop()
+                extras.clear()
+            elif len(extras) == 1 and _positional(extras[0]):
+                args.controller = extras.pop()
         if extras:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:

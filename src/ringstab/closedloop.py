@@ -6,8 +6,9 @@ The feedback interconnection of p = np/dp and c = nc/dc is summarized by
                [ nc*dp,  dp*dc ]]               [ c*(1+pc)^-1,  (1+pc)^-1   ]]
 
 with Delta = dp*dc + np*nc (well-posed when Delta != 0); the loop is stable
-exactly when all four entries lie in A.  This sign convention is pinned by the
-classical worked example: p = (1+sqrt(5)i)/2 with c = (-1+sqrt(5)i)/2 gives
+exactly when the three distinct entries lie in A.  This sign convention is
+pinned by the classical worked example: p = (1+sqrt(5)i)/2 with
+c = (-1+sqrt(5)i)/2 gives
 
     H0 = [[-2, 1+sqrt(5)i], [1-sqrt(5)i, -2]].
 
@@ -18,21 +19,36 @@ each member H with nonzero diagonal yields its controller back as h21/h11.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 from .rings import RingElement, TransferFunction, contains, quadratic
 
 
 @dataclass(frozen=True)
 class FeedbackMatrix:
-    """2x2 closed-loop matrix with cached well-posedness and stability flags."""
+    """2x2 closed-loop matrix [[h11, h12], [h21, h11]].
+
+    ``members`` lists, in ``entries()`` order, the element of A equal to each
+    entry or None; it is computed once, with one ``contains`` per distinct entry.
+    """
 
     h11: TransferFunction
     h12: TransferFunction
     h21: TransferFunction
-    h22: TransferFunction
-    well_posed: bool
-    stable: bool
+    members: tuple[Optional[RingElement], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        m11, m12, m21 = (contains(e) for e in (self.h11, self.h12, self.h21))
+        object.__setattr__(self, "members", (m11, m12, m21, m11))
+
+    @property
+    def h22(self) -> TransferFunction:
+        return self.h11
+
+    @property
+    def stable(self) -> bool:
+        return all(e is not None for e in self.members)
 
     def entries(self) -> list[TransferFunction]:
         return [self.h11, self.h12, self.h21, self.h22]
@@ -46,11 +62,11 @@ def feedback_matrix(p: TransferFunction, c: TransferFunction) -> FeedbackMatrix:
     delta = diag + p.num * c.num
     if delta.is_zero():
         raise ZeroDivisionError("ill-posed loop: 1 + p*c = 0")
-    h11 = TransferFunction.make(desc, diag, delta)
-    h12 = TransferFunction.make(desc, -(p.num * c.den), delta)
-    h21 = TransferFunction.make(desc, c.num * p.den, delta)
-    stable = all(contains(e) is not None for e in (h11, h12, h21))
-    return FeedbackMatrix(h11, h12, h21, h11, well_posed=True, stable=stable)
+    return FeedbackMatrix(
+        TransferFunction.make(desc, diag, delta),
+        TransferFunction.make(desc, -(p.num * c.den), delta),
+        TransferFunction.make(desc, c.num * p.den, delta),
+    )
 
 
 def is_stable(p: TransferFunction, c: TransferFunction) -> bool:
@@ -84,8 +100,8 @@ def classical_loop_family(q: ParamMatrixQ) -> FeedbackMatrix:
     h12 = -3w*q11 + 2w*q21 - 3w*q22 + w - 3*q11 + 9*q12 - 4*q21 - 3*q22 + 1
     h21 = 2w*q11 - 2w*q12 + 2w*q22 - w - 2*q11 - 4*q12 + 4*q21 - 2*q22 + 1
 
-    with w = sqrt(5)i.  Entries lie in A by construction, so the matrix is
-    always stable; the well-posed flag records h11 != 0 and h22 != 0.
+    with w = sqrt(5)i.  Entries lie in A by construction, so every matrix of
+    the family is stable.
     """
     desc = quadratic(5)
     w = RingElement.quad(desc, 0, 1)
@@ -103,21 +119,9 @@ def classical_loop_family(q: ParamMatrixQ) -> FeedbackMatrix:
     h11 = lin(0, 3, -2, 0, 6, -3, -2, 6, -2, 0)
     h12 = lin(-3, 0, 2, -3, -3, 9, -4, -3, 1, 1)
     h21 = lin(2, -2, 0, 2, -2, -4, 4, -2, 1, -1)
-    h22 = h11
-    nonzero_diag = not h11.is_zero()
-    return FeedbackMatrix(
-        h11.to_tf(), h12.to_tf(), h21.to_tf(), h22.to_tf(),
-        well_posed=nonzero_diag,
-        stable=True,
-    )
+    return FeedbackMatrix(h11.to_tf(), h12.to_tf(), h21.to_tf())
 
 
 def extract_controller(h: FeedbackMatrix) -> TransferFunction:
-    """h21/h11 (equal to h21/h22); requires nonzero diagonal entries."""
-    if h.h11.is_zero() or h.h22.is_zero():
-        raise ZeroDivisionError("controller extraction requires h11 and h22 nonzero")
-    c1 = h.h21 / h.h11
-    c2 = h.h21 / h.h22
-    if c1 != c2:
-        raise ValueError("h21/h11 and h21/h22 must agree")
-    return c1
+    """h21/h11 (h22 = h11); raises ZeroDivisionError when h11 = 0."""
+    return h.h21 / h.h11

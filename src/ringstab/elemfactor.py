@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Optional, Union
+from typing import ClassVar, Iterator, Optional, Union
 
 from .coprime import QuadIdeal, delay_bezout, factor_ideals
 from .exact import ZERO, Poly, ext_gcd_int
@@ -53,28 +53,23 @@ class Which(Enum):
     I2 = "I2"
 
 
-@dataclass(frozen=True)
-class LambdaSet:
-    """Membership predicate for one generalized factor ideal of a plant."""
-
-    plant: TransferFunction
-    which: Which
-
-
-def lambda_member(lam: RingElement, lset: LambdaSet) -> bool:
-    """Exact membership test: lam*d/n (I1) or lam*n/d (I2) lies in A, for p = n/d."""
-    p = lset.plant
-    if lset.which == Which.I1:
+def lambda_member(lam: RingElement, p: TransferFunction, which: Which) -> bool:
+    """Exact membership of lam in the factor set ``which`` of p = n/d: lam*d/n
+    (I1) or lam*n/d (I2) lies in A."""
+    if which == Which.I1:
         if p.is_zero():
             raise ValueError("plant numerator is zero; the first factor set is degenerate")
         return p.descriptor.quotient(lam.value * p.den, p.num) is not None
     return p.descriptor.quotient(lam.value * p.num, p.den) is not None
 
 
+# Each trace's field names are its JSON keys, after ``"kind": kind``.
+
 @dataclass(frozen=True)
 class QuadraticTrace:
     """Data of the quadratic fast path."""
 
+    kind: ClassVar[str] = "quadratic_fast_path"
     num_re: int
     num_im: int
     den: int
@@ -93,6 +88,7 @@ class QuadraticTrace:
 class DelayTrace:
     """Data of the delay-ring construction."""
 
+    kind: ClassVar[str] = "delay_construction"
     gcd: Poly                     # gcd(n, d) over Q[x], constant term 1
     gcd_slope: Fraction           # its x^1 coefficient
     multiplier_constant: Fraction
@@ -114,15 +110,17 @@ class DelayTrace:
 class ReciprocalTrace:
     """Witness (1 - q, q) for a plant whose inverse q lies in A."""
 
-    inverse: RingElement
+    kind: ClassVar[str] = "reciprocal"
+    q: RingElement
 
 
 @dataclass(frozen=True)
 class IdealTrace:
     """The factor ideals L1 and L2 behind a quadratic ideal witness."""
 
-    lam1: QuadIdeal
-    lam2: QuadIdeal
+    kind: ClassVar[str] = "factor_ideals"
+    lambda1: QuadIdeal
+    lambda2: QuadIdeal
 
 
 @dataclass(frozen=True)
@@ -138,9 +136,9 @@ class WitnessPair:
 
     def __post_init__(self):
         desc = self.plant.descriptor
-        if not lambda_member(self.lam1, LambdaSet(self.plant, Which.I1)):
+        if not lambda_member(self.lam1, self.plant, Which.I1):
             raise ValueError("lam1 fails first factor membership")
-        if not lambda_member(self.lam2, LambdaSet(self.plant, Which.I2)):
+        if not lambda_member(self.lam2, self.plant, Which.I2):
             raise ValueError("lam2 fails second factor membership")
         if self.u * self.lam1 + self.v * self.lam2 != RingElement.one(desc):
             raise ValueError("Bezout identity u*lam1 + v*lam2 = 1 fails")

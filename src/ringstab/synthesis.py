@@ -25,7 +25,7 @@ reproduces the worked examples (r1 = r2 = 0) and keeps the knob verifiable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .closedloop import FeedbackMatrix, feedback_matrix
 from .coprime import QuadIdeal, factor_ideals
@@ -102,29 +102,25 @@ class SynthesisResult:
             raise SynthesisError("constructed controller failed the closed-loop check", condition="stability")
 
 
-def solve_condition_i(
-    lam1: RingElement, lam2: RingElement, u: RingElement, v: RingElement, omega: int
-) -> tuple[RingElement, RingElement]:
-    """a1, a2 in A with a1*lam1^omega + a2*lam2^omega = 1.
+def condition_i_solutions(witness: WitnessPair, omega: int) -> Iterator[tuple[RingElement, RingElement]]:
+    """a1, a2 in A with a1*lam1^omega + a2*lam2^omega = 1, one pair per route.
 
-    Expands (u*lam1 + v*lam2)^(2*omega - 1): the terms with lam1-exponent at
-    least omega are grouped into a1*lam1^omega, the rest into a2*lam2^omega.
-    When both witnesses are rational integers an extended-gcd shortcut on
-    lam1^omega, lam2^omega gives smaller coefficients; both routes satisfy
-    the identity exactly and the returned pair is the binomial one unless the
-    shortcut applies.
+    The integer shortcut comes first when both witnesses are rational
+    integers: an extended gcd of lam1^omega, lam2^omega, which gives smaller
+    coefficients.  The binomial route always applies: since
+    u*lam1 + v*lam2 = 1 (verified by ``WitnessPair``), expanding
+    (u*lam1 + v*lam2)^(2*omega - 1) and grouping the terms with
+    lam1-exponent at least omega into a1*lam1^omega, the rest into
+    a2*lam2^omega, solves the identity.  Each pair is checked before it is
+    yielded, and the binomial pair is built only when the caller asks for it.
     """
-    desc = lam1.descriptor
-    one = RingElement.one(desc)
-    if u * lam1 + v * lam2 != one:
-        raise ValueError("witness precondition u*lam1 + v*lam2 = 1 fails")
     if omega < 1:
         raise ValueError("omega must be a positive integer")
-    a1, a2 = _condition_i_shortcut(lam1, lam2, omega)
-    if a1 is None:
-        a1, a2 = _condition_i_binomial(lam1, lam2, u, v, omega)
-    _check_condition_i(lam1, lam2, a1, a2, omega)
-    return a1, a2
+    for route in (_condition_i_shortcut, _condition_i_binomial):
+        pair = route(witness, omega)
+        if pair is not None:
+            _check_condition_i(witness.lam1, witness.lam2, *pair, omega)
+            yield pair
 
 
 def _check_condition_i(lam1, lam2, a1, a2, omega) -> None:
@@ -132,25 +128,21 @@ def _check_condition_i(lam1, lam2, a1, a2, omega) -> None:
         raise SynthesisError("a1*lam1^omega + a2*lam2^omega = 1 fails", condition="i")
 
 
-def _condition_i_shortcut(lam1, lam2, omega):
+def _condition_i_shortcut(witness: WitnessPair, omega: int):
+    lam1, lam2 = witness.lam1, witness.lam2
     desc = lam1.descriptor
-    if not isinstance(desc, QuadraticRing):
-        return None, None
-    if lam1.value.im != 0 or lam2.value.im != 0:
-        return None, None
-    l1 = int(lam1.value.re) ** omega
-    l2 = int(lam2.value.re) ** omega
-    g, s, t = ext_gcd_int(l1, l2)
+    if not isinstance(desc, QuadraticRing) or lam1.value.im != 0 or lam2.value.im != 0:
+        return None
+    g, s, t = ext_gcd_int(int(lam1.value.re) ** omega, int(lam2.value.re) ** omega)
     if g != 1:
-        return None, None
+        return None
     return RingElement.quad(desc, s), RingElement.quad(desc, t)
 
 
-def _condition_i_binomial(lam1, lam2, u, v, omega):
+def _condition_i_binomial(witness: WitnessPair, omega: int):
+    lam1, lam2, u, v = witness.lam1, witness.lam2, witness.u, witness.v
     desc = lam1.descriptor
-    zero = RingElement.zero(desc)
-    a1 = zero
-    a2 = zero
+    a1 = a2 = RingElement.zero(desc)
     n = 2 * omega - 1
     binom = 1
     for j in range(n + 1):
@@ -263,13 +255,7 @@ def synthesize(p: TransferFunction, cfg: SynthesisConfig = SynthesisConfig()) ->
             continue
         lam1, lam2 = witness.lam1, witness.lam2
         for omega in (1, 2, 3):
-            candidates = []
-            short = _condition_i_shortcut(lam1, lam2, omega)
-            if short[0] is not None:
-                candidates.append(short)
-            candidates.append(_condition_i_binomial(lam1, lam2, witness.u, witness.v, omega))
-            for a1, a2 in candidates:
-                _check_condition_i(lam1, lam2, a1, a2, omega)
+            for a1, a2 in condition_i_solutions(witness, omega):
                 products = check_condition_ii(pair, lam1, lam2, a1, a2, omega)
                 if products is None:
                     last_failure = "ii"

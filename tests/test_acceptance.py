@@ -29,7 +29,7 @@ from ringstab.coprime import (
     principal_ideal,
     verify_nonexistence_instance,
 )
-from ringstab.elemfactor import LambdaSet, Which, construct_witnesses_delay, construct_witnesses_quadratic, lambda_member
+from ringstab.elemfactor import Which, construct_witnesses_delay, construct_witnesses_quadratic, lambda_member
 from ringstab.exact import Poly, QuadElem, is_square, poly_gcd
 from ringstab.rings import RingElement, TransferFunction, contains, delay, quadratic
 from ringstab.synthesis import synthesize
@@ -292,8 +292,6 @@ def test_criterion_10_property_suites():
             w = construct_witnesses_delay(p)
         assert w is not None
         witnesses.append((p, w))
-        l1 = LambdaSet(p, Which.I1)
-        l2 = LambdaSet(p, Which.I2)
         n_el = RingElement(p.descriptor, p.num) if kind == "quad" else None
         for _ in range(100):
             if kind == "quad":
@@ -302,10 +300,10 @@ def test_criterion_10_property_suites():
                 cs = [F(rng.randint(-3, 3)) for _ in range(4)]
                 cs[1] = F(0)
                 a = RingElement(D, Poly.from_list(cs))
-            ok = ok and lambda_member(a * w.lam1, l1)
-            ok = ok and lambda_member(a * w.lam2, l2)
-            ok = ok and lambda_member(w.lam1 + a * w.lam1, l1)
-            ok = ok and lambda_member(w.lam2 + a * w.lam2, l2)
+            ok = ok and lambda_member(a * w.lam1, p, Which.I1)
+            ok = ok and lambda_member(a * w.lam2, p, Which.I2)
+            ok = ok and lambda_member(w.lam1 + a * w.lam1, p, Which.I1)
+            ok = ok and lambda_member(w.lam2 + a * w.lam2, p, Which.I2)
             if not ok:
                 break
         if not ok:

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from ringstab import rings
 from ringstab.cli import EXIT_OK, EXIT_PARSE, EXIT_SYNTHESIS, EXIT_UNKNOWN, PlantFile, main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -123,6 +124,7 @@ class TestSynthesize:
         assert code == EXIT_OK
         assert synth["omega"] == 1
         assert synth["witness"]["trace"]["kind"] == "reciprocal"
+        assert set(synth["witness"]["trace"]) == {"kind", "q"}
         code, checked = run_json(capsys, "verify", path, synth["controller"]["display"])
         assert code == EXIT_OK and checked["stable"] is True
 
@@ -138,7 +140,16 @@ class TestSynthesize:
         assert code == EXIT_OK
         assert doc["omega"] == 1
         assert doc["witness"]["lambda1"] == "424-108*i13"
-        assert doc["witness"]["trace"]["kind"] == "factor_ideals"
+        assert doc["witness"]["trace"] == {
+            "kind": "factor_ideals",
+            "lambda1": {"basis": [[2959, 0], [1092, 1]], "norm": 2959, "m": 13},
+            "lambda2": {"basis": [[99, 0], [72, 9]], "norm": 891, "m": 13},
+        }
+
+    def test_reciprocal_trace(self, capsys, tmp_path):
+        code, doc = run_json(capsys, "synthesize", plant_file(tmp_path, quad_doc(5, 3, -1, 14)))
+        assert code == EXIT_OK
+        assert doc["witness"]["trace"] == {"kind": "reciprocal", "q": "3+i5"}
 
     def test_no_omega_is_decided(self, capsys, tmp_path):
         # r2 = 1/p with r1 = 0 zeroes the controller denominator at every omega
@@ -201,6 +212,33 @@ class TestVerify:
         docs = [json.loads(out) for _, out, _ in (after, before)]
         assert [doc.pop("argv") for doc in docs] == [["verify", plant, "--json", literal], ["verify", plant, literal, "--json"]]
         assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("literal, code", [("-1+i5", EXIT_UNKNOWN), ("(-1+i5)/(2)", EXIT_OK)])
+    @pytest.mark.parametrize("option", ["--latex", "--json"])
+    def test_literal_after_double_dash_in_either_order(self, capsys, literal, code, option):
+        # everything after "--" is positional, so the options come first
+        plant = fx("quadratic_plant.json")
+        after_option = run(capsys, "verify", plant, option, "--", literal)
+        before_option = run(capsys, "verify", option, plant, "--", literal)
+        assert after_option[0] == before_option[0] == code
+        if option == "--json":
+            docs = [json.loads(out) for _, out, _ in (after_option, before_option)]
+            assert [doc.pop("argv") for doc in docs] == [
+                ["verify", plant, option, "--", literal], ["verify", option, plant, "--", literal]]
+            assert docs[0] == docs[1]
+        else:
+            assert after_option == before_option
+
+    def test_one_membership_per_distinct_entry(self, capsys, monkeypatch):
+        # every module that binds contains counts into the same list
+        calls = []
+        real = rings.contains
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ringstab") and getattr(module, "contains", None) is real:
+                monkeypatch.setattr(module, "contains", lambda f: calls.append(f) or real(f))
+        code, doc = run_json(capsys, "verify", fx("quadratic_plant.json"))
+        assert code == EXIT_OK and doc["stable"] is True
+        assert len(calls) == 3
 
 
 class TestCoprimeFactorization:
@@ -332,13 +370,16 @@ class TestReports:
         (["synthesize", "{plant}"], dict(DELAY_DOC, config={"r1": {"coeffs": [1.0]}})),
         (["verify", "{plant}", "--json", "(-1+i5)/(2)", "(1)/(2)"], quad_doc(5, 1, 1, 2)),
         (["verify", "{plant}", "(-1+i5)/(2)", "--json", "(1)/(2)"], quad_doc(5, 1, 1, 2)),
+        (["analyze", "{plant}", "--latex"], quad_doc(5, 1, 1, 2)),
+        (["coprime-factorization", "{plant}", "--latex"], quad_doc(5, 1, 1, 2)),
+        (["family", "--x", "2", "--y", "3", "--latex"], None),
     ], ids=["r1-degree-one", "r1-unparsable", "plant-list", "ring-string", "coeffs-number", "coeffs-string",
             "re-list", "config-omega-zero",
             "omega-negative", "omega-zero", "family-omega-zero", "analyze-omega-max", "synthesize-omega-max",
             "family-omega-max", "config-unknown-key", "usage-error", "bound-flag", "analyze-box-flag",
             "synthesize-box-flag", "cf-box-flag", "m-float", "m-bool", "m-string", "re-float", "im-bool",
             "coeffs-float", "coeffs-bool", "config-float", "verify-two-literals-after-option",
-            "verify-two-literals"])
+            "verify-two-literals", "analyze-latex", "cf-latex", "family-latex"])
     def test_input_errors_exit_2_with_one_line(self, capsys, tmp_path, argv, doc):
         path = plant_file(tmp_path, doc) if doc is not None else None
         code, out, err = run(capsys, *[path if a == "{plant}" else a for a in argv])
@@ -386,11 +427,11 @@ class TestReports:
         # the reader is gone before the report is written
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
         env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "ringstab.cli", "synthesize", fx("quadratic_plant.json")],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        )
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-        assert proc.wait() == EXIT_OK
+        ) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait() == EXIT_OK
         assert err == ""

@@ -9,7 +9,6 @@ from test_coprime import _brute_force_cf_search
 from ringstab.coprime import CFKind, cf_exists, delay_bezout
 from ringstab.elemfactor import (
     IdealTrace,
-    LambdaSet,
     ReciprocalTrace,
     Which,
     WitnessPair,
@@ -37,17 +36,17 @@ def q5(a, b=0):
 
 class TestLambdaMember:
     def test_first_factor_members(self):
-        assert lambda_member(q5(3), LambdaSet(P_Z5, Which.I1))
-        assert not lambda_member(q5(1), LambdaSet(P_Z5, Which.I1))
+        assert lambda_member(q5(3), P_Z5, Which.I1)
+        assert not lambda_member(q5(1), P_Z5, Which.I1)
 
     def test_second_factor_members(self):
-        assert lambda_member(q5(2), LambdaSet(P_Z5, Which.I2))
+        assert lambda_member(q5(2), P_Z5, Which.I2)
 
     def test_zero_plant_degenerate(self):
         zero = TransferFunction.zero(Z5)
         with pytest.raises(ValueError):
-            lambda_member(q5(1), LambdaSet(zero, Which.I1))
-        assert lambda_member(q5(1), LambdaSet(zero, Which.I2))
+            lambda_member(q5(1), zero, Which.I1)
+        assert lambda_member(q5(1), zero, Which.I2)
 
     def test_factor_sets_are_ideals(self):
         rng = random.Random(61)
@@ -58,10 +57,10 @@ class TestLambdaMember:
         d_el = RingElement(Z5, P_Z5.den)
         for _ in range(100):
             a = q5(rng.randint(-9, 9), rng.randint(-9, 9))
-            assert lambda_member(a * w.lam1, LambdaSet(P_Z5, Which.I1))
-            assert lambda_member(a * w.lam2, LambdaSet(P_Z5, Which.I2))
-            assert lambda_member(w.lam1 + a * n_el, LambdaSet(P_Z5, Which.I1))
-            assert lambda_member(w.lam2 + a * d_el, LambdaSet(P_Z5, Which.I2))
+            assert lambda_member(a * w.lam1, P_Z5, Which.I1)
+            assert lambda_member(a * w.lam2, P_Z5, Which.I2)
+            assert lambda_member(w.lam1 + a * n_el, P_Z5, Which.I1)
+            assert lambda_member(w.lam2 + a * d_el, P_Z5, Which.I2)
 
 
 class TestQuadraticConstruction:
@@ -94,7 +93,7 @@ class TestQuadraticSearch:
         assert w.lam1 == q5(2, -1)  # frozen first hit of the canonical spiral
         assert w.lam2 == q5(-1, 1)
         assert isinstance(w.trace, IdealTrace)
-        assert (w.trace.lam1.basis_rows(), w.trace.lam2.basis_rows()) == ([(9, 0), (7, 1)], [(6, 0), (5, 1)])
+        assert (w.trace.lambda1.basis_rows(), w.trace.lambda2.basis_rows()) == ([(9, 0), (7, 1)], [(6, 0), (5, 1)])
         assert w.lam1 == _spiral_oracle(P_GAP, 10)
 
     def test_classical_plant_search(self):
@@ -105,8 +104,8 @@ class TestQuadraticSearch:
     def test_illustrative_larger_witness_also_valid(self):
         # a larger valid pair for the gap plant (membership only; the spiral
         # returns the smaller one above)
-        assert lambda_member(q5(5, 2), LambdaSet(P_GAP, Which.I1))
-        assert lambda_member(q5(-4, -2), LambdaSet(P_GAP, Which.I2))
+        assert lambda_member(q5(5, 2), P_GAP, Which.I1)
+        assert lambda_member(q5(-4, -2), P_GAP, Which.I2)
 
     def test_not_stabilizable_plant_has_no_witness(self):
         # G = (3+i3, 18) is not invertible in the non-maximal order Z[sqrt(3)i]
@@ -157,8 +156,6 @@ class TestQuadraticSearch:
 
 def _spiral_oracle(p, box):
     """Independent first-hit search using only the membership predicate."""
-    l1 = LambdaSet(p, Which.I1)
-    l2 = LambdaSet(p, Which.I2)
     one = RingElement.one(p.descriptor)
     for shell in range(box + 1):
         cells = []
@@ -172,7 +169,7 @@ def _spiral_oracle(p, box):
                     cells.extend([(u, -shell), (u, shell)])
         for u, v in cells:
             lam = RingElement.quad(p.descriptor, u, v)
-            if lambda_member(lam, l1) and lambda_member(one - lam, l2):
+            if lambda_member(lam, p, Which.I1) and lambda_member(one - lam, p, Which.I2):
                 return lam
     return None
 
@@ -256,8 +253,8 @@ class TestDelayBezout:
             if contains(p) is not None:
                 continue
             w = next(witness_candidates(p))
-            assert lambda_member(w.lam1, LambdaSet(p, Which.I1))
-            assert lambda_member(w.lam2, LambdaSet(p, Which.I2))
+            assert lambda_member(w.lam1, p, Which.I1)
+            assert lambda_member(w.lam2, p, Which.I2)
             found += 1
 
     def test_pair_cofactors_start_from_ext_gcd(self):
@@ -326,7 +323,7 @@ class TestWitnessPairValidation:
         a, b = q5(1, 1), q5(1, -1)
         a_pr, b_pr = q5(2), q5(3)
         plant = TransferFunction.make(Z5, a.value, a_pr.value)
-        assert lambda_member(a, LambdaSet(plant, Which.I1))
-        assert lambda_member(b, LambdaSet(plant, Which.I2))
-        assert lambda_member(b_pr, LambdaSet(plant, Which.I1))
-        assert lambda_member(a_pr, LambdaSet(plant, Which.I2))
+        assert lambda_member(a, plant, Which.I1)
+        assert lambda_member(b, plant, Which.I2)
+        assert lambda_member(b_pr, plant, Which.I1)
+        assert lambda_member(a_pr, plant, Which.I2)

@@ -13,6 +13,7 @@ from ringstab.elemfactor import (
     ReciprocalTrace,
     construct_witnesses_delay,
     construct_witnesses_quadratic,
+    search_witnesses_quadratic,
     witness_candidates,
 )
 from ringstab.exact import Poly, QuadElem, ext_gcd_int
@@ -22,7 +23,7 @@ from ringstab.synthesis import (
     SynthesisConfig,
     SynthesisError,
     check_condition_ii,
-    solve_condition_i,
+    condition_i_solutions,
     synthesize,
 )
 
@@ -46,50 +47,57 @@ def q5(a, b=0):
 
 class TestConditionI:
     def test_integer_witnesses(self):
-        a1, a2 = solve_condition_i(q5(3), q5(2), q5(1), q5(-1), omega=1)
-        assert (a1, a2) == (q5(1), q5(-1))
+        w = construct_witnesses_quadratic(P_Z5)
+        assert (w.lam1, w.lam2, w.u, w.v) == (q5(3), q5(2), q5(1), q5(-1))
+        assert next(condition_i_solutions(w, omega=1)) == (q5(1), q5(-1))
 
     def test_delay_witnesses_omega_one(self):
         w = construct_witnesses_delay(P_DELAY)
-        a1, a2 = solve_condition_i(w.lam1, w.lam2, w.u, w.v, omega=1)
+        [(a1, a2)] = condition_i_solutions(w, omega=1)  # no integer shortcut in Q[x^2, x^3]
         assert a1.value == Poly.of(F(-101, 988), 0, F(77, 494), F(-343, 988), F(49, 494))
         assert a2.value == Poly.of(F(1089, 988), 0, F(693, 988), 0, F(441, 988))
 
     def test_omega_two_identity(self):
-        for lam1, lam2, u, v in [
-            (q5(3), q5(2), q5(1), q5(-1)),
-            (q5(2, -1), q5(-1, 1), q5(1), q5(1)),
-        ]:
+        p_gap = TransferFunction.make(Z5, QuadElem.of(7, 1, 5), QuadElem.of(6, 0, 5))
+        for w in (construct_witnesses_quadratic(P_Z5), search_witnesses_quadratic(p_gap)):
             for omega in (2, 3):
-                a1, a2 = solve_condition_i(lam1, lam2, u, v, omega)
-                assert a1 * lam1 ** omega + a2 * lam2 ** omega == RingElement.one(Z5)
+                for a1, a2 in condition_i_solutions(w, omega):
+                    assert a1 * w.lam1 ** omega + a2 * w.lam2 ** omega == RingElement.one(Z5)
 
     def test_delay_omega_two_identity(self):
         w = construct_witnesses_delay(P_DELAY)
-        a1, a2 = solve_condition_i(w.lam1, w.lam2, w.u, w.v, omega=2)
+        a1, a2 = next(condition_i_solutions(w, omega=2))
         assert a1 * w.lam1 ** 2 + a2 * w.lam2 ** 2 == RingElement.one(D)
 
     def test_shortcut_agrees_with_binomial_identity(self):
-        from ringstab.synthesis import _condition_i_binomial, _condition_i_shortcut
-
-        lam1, lam2, u, v = q5(3), q5(2), q5(1), q5(-1)
+        w = construct_witnesses_quadratic(P_Z5)
+        one = RingElement.one(Z5)
         for omega in (1, 2, 3):
-            s1, s2 = _condition_i_shortcut(lam1, lam2, omega)
-            b1, b2 = _condition_i_binomial(lam1, lam2, u, v, omega)
-            one = RingElement.one(Z5)
-            assert s1 * lam1 ** omega + s2 * lam2 ** omega == one
-            assert b1 * lam1 ** omega + b2 * lam2 ** omega == one
+            routes = list(condition_i_solutions(w, omega))
+            assert len(routes) == 2  # integer shortcut, then binomial
+            for a1, a2 in routes:
+                assert a1 * w.lam1 ** omega + a2 * w.lam2 ** omega == one
 
-    def test_bad_witness_rejected(self):
+    def test_omega_below_one_rejected(self):
+        w = construct_witnesses_quadratic(P_Z5)
         with pytest.raises(ValueError):
-            solve_condition_i(q5(3), q5(2), q5(1), q5(1), omega=1)
+            next(condition_i_solutions(w, omega=0))
+
+    def test_binomial_pair_built_only_when_needed(self, monkeypatch):
+        built = []
+        real = synthesis._condition_i_binomial
+        monkeypatch.setattr(synthesis, "_condition_i_binomial", lambda w, omega: built.append(omega) or real(w, omega))
+        assert synthesize(P_Z5).a1 == q5(1)  # the shortcut pair closes the loop
+        assert built == []
+        synthesize(P_DELAY)
+        assert built == [1]
 
 
 class TestConditionII:
     def test_classical_plant_passes(self):
         w = construct_witnesses_quadratic(P_Z5)
         pair = CoprimePairLocal.for_plant(P_Z5, q5(0), q5(0))
-        a1, a2 = solve_condition_i(w.lam1, w.lam2, w.u, w.v, 1)
+        a1, a2 = next(condition_i_solutions(w, 1))
         products = check_condition_ii(pair, w.lam1, w.lam2, a1, a2, omega=1)
         assert products is not None and len(products) == 8
         # a1 * lam1 * d1 * y1 = 3/p = 1 - sqrt(5)i
@@ -99,7 +107,7 @@ class TestConditionII:
         w = construct_witnesses_delay(P_DELAY)
         zero = RingElement.zero(D)
         pair = CoprimePairLocal.for_plant(P_DELAY, zero, zero)
-        a1, a2 = solve_condition_i(w.lam1, w.lam2, w.u, w.v, 1)
+        a1, a2 = next(condition_i_solutions(w, 1))
         assert check_condition_ii(pair, w.lam1, w.lam2, a1, a2, omega=1) is not None
 
     def test_negative_control_fails_membership(self):
@@ -171,7 +179,8 @@ class TestSynthesize:
                              ids=["witnessed", "in_ring"])
     def test_unstable_closed_loop_raises(self, plant, monkeypatch):
         real = synthesis.feedback_matrix
-        monkeypatch.setattr(synthesis, "feedback_matrix", lambda p, c: dataclasses.replace(real(p, c), stable=False))
+        half = TransferFunction.make(Z5, QuadElem.of(1, 0, 5), QuadElem.of(2, 0, 5))  # outside A
+        monkeypatch.setattr(synthesis, "feedback_matrix", lambda p, c: dataclasses.replace(real(p, c), h12=half))
         with pytest.raises(SynthesisError) as err:
             synthesize(plant)
         assert err.value.condition == "stability"
@@ -241,12 +250,7 @@ def _scan_to_32(p, r1, r2):
         if w.v.is_zero() and r1.is_zero():
             continue
         for omega in range(1, 33):
-            candidates = []
-            short = synthesis._condition_i_shortcut(w.lam1, w.lam2, omega)
-            if short[0] is not None:
-                candidates.append(short)
-            candidates.append(synthesis._condition_i_binomial(w.lam1, w.lam2, w.u, w.v, omega))
-            for a1, a2 in candidates:
+            for a1, a2 in condition_i_solutions(w, omega):
                 products = check_condition_ii(pair, w.lam1, w.lam2, a1, a2, omega)
                 if products is None:
                     last_failure = "ii"
