@@ -202,3 +202,14 @@ class TestExtractController:
         h = FeedbackMatrix(zero, one, one)
         with pytest.raises(ZeroDivisionError):
             extract_controller(h)
+
+    def test_unequal_diagonal_rejected(self):
+        # h22 is h11 by construction: no fourth entry is taken and none can be
+        # set, so h21/h11 and h21/h22 cannot disagree
+        one = TransferFunction.one(Z5)
+        with pytest.raises(TypeError):
+            FeedbackMatrix(one, one, one, tf5(2, 0))
+        h = FeedbackMatrix(one, one, tf5(2, 0))
+        with pytest.raises(AttributeError):
+            h.h22 = tf5(2, 0)
+        assert extract_controller(h) == h.h21 / h.h22

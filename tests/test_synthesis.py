@@ -78,6 +78,13 @@ class TestConditionI:
             for a1, a2 in routes:
                 assert a1 * w.lam1 ** omega + a2 * w.lam2 ** omega == one
 
+    def test_bad_witness_rejected(self):
+        # u = v = 1 breaks u*lam1 + v*lam2 = 1 for (3, 2): the pair is refused
+        # before condition (i) is solved
+        w = construct_witnesses_quadratic(P_Z5)
+        with pytest.raises(ValueError):
+            condition_i_solutions(dataclasses.replace(w, v=q5(1)), omega=1)
+
     def test_omega_below_one_rejected(self):
         w = construct_witnesses_quadratic(P_Z5)
         with pytest.raises(ValueError):
