@@ -12,7 +12,6 @@ Exit codes: 0 verified, 2 parse/usage error, 3 unverified or unknown,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -153,15 +152,15 @@ def _elem_str(e: Optional[RingElement]) -> Optional[str]:
 
 def _trace_json(trace) -> dict:
     out = {"kind": trace.kind}
-    for f in dataclasses.fields(trace):
-        value = getattr(trace, f.name)
+    for name in trace._fields:
+        value = getattr(trace, name)
         if isinstance(value, Poly):
             value = format_poly(value)
         elif isinstance(value, cp.QuadIdeal):
             value = _ideal_json(value)
         elif not isinstance(value, int):
             value = str(value)
-        out[f.name] = value
+        out[name] = value
     return out
 
 

@@ -19,14 +19,11 @@ each member H with nonzero diagonal yields its controller back as h21/h11.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
+from .record import Record
 from .rings import RingElement, TransferFunction, contains, quadratic
 
 
-@dataclass(frozen=True)
-class FeedbackMatrix:
+class FeedbackMatrix(Record):
     """2x2 closed-loop matrix [[h11, h12], [h21, h11]].
 
     ``members`` lists, in ``entries()`` order, the element of A equal to each
@@ -36,7 +33,6 @@ class FeedbackMatrix:
     h11: TransferFunction
     h12: TransferFunction
     h21: TransferFunction
-    members: tuple[Optional[RingElement], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m11, m12, m21 = (contains(e) for e in (self.h11, self.h12, self.h21))
@@ -77,8 +73,7 @@ def is_stable(p: TransferFunction, c: TransferFunction) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class ParamMatrixQ:
+class ParamMatrixQ(Record):
     """Free 2x2 parameter over Z[sqrt(5)i] for the worked-example family."""
 
     q11: RingElement

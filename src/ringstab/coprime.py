@@ -16,11 +16,11 @@ cofactors in A), and the nonconstant gcd certifies NotCoprime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 from .exact import ZERO, Poly, QuadElem, ext_gcd_int, ext_gcd_poly, is_square, poly_divides, poly_gcd
+from .record import Record
 from .rings import (
     DelayRing,
     QuadraticRing,
@@ -152,8 +152,7 @@ def _least_in_coset(rows: Sequence[Sequence[int]], point: Sequence[int]) -> tupl
 # Ideals of Z[sqrt(m)*i]
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadIdeal:
+class QuadIdeal(Record):
     """Nonzero ideal of Z[sqrt(m)*i] as an HNF lattice a*Z + (b + c*w)*Z."""
 
     m: int
@@ -261,8 +260,7 @@ def ideal_is_principal(ideal: QuadIdeal) -> Optional[QuadElem]:
     return None
 
 
-@dataclass(frozen=True)
-class FactorIdeals:
+class FactorIdeals(Record):
     """G = (num, beta) of a quadratic plant num/beta and, when G is invertible,
     the factor ideals Lam1 = (num)*conj(G)/N(G) = {lam : lam*beta/num in A} and
     Lam2 = (beta)*conj(G)/N(G) = {lam : lam*num/beta in A}, which sum to A.
@@ -303,8 +301,7 @@ def factor_ideals(p: TransferFunction) -> FactorIdeals:
 # Bezout combinations over A
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DelayBezout:
+class DelayBezout(Record):
     """Bezout cofactors for generators g_i of A = Q[x^2, x^3].
 
     ``qx`` satisfies sum qx_i*g_i = 1 over Q[x].  With the pivot the last
@@ -391,8 +388,7 @@ class CertKind(Enum):
     NOT_COPRIME = "not_coprime"
 
 
-@dataclass(frozen=True)
-class CoprimeCertificate:
+class CoprimeCertificate(Record):
     """Outcome of a coprimeness decision for a pair (a, b) over A.
 
     NotCoprime carries the proper ideal (a, b) for quadratic rings and the
@@ -451,8 +447,7 @@ class CFKind(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class CFVerdict:
+class CFVerdict(Record):
     """Existence verdict for a coprime factorization of a plant."""
 
     kind: CFKind
@@ -533,8 +528,7 @@ class Verdict(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class NonexistenceInstance:
+class NonexistenceInstance(Record):
     """Quadruple (a, b, a', b') of ring elements subject to the three checks."""
 
     a: RingElement
@@ -543,8 +537,7 @@ class NonexistenceInstance:
     b_prime: RingElement
 
 
-@dataclass(frozen=True)
-class NonexistenceReport:
+class NonexistenceReport(Record):
     instance: NonexistenceInstance
     plant: TransferFunction
     cond_i: bool
@@ -567,7 +560,7 @@ def verify_nonexistence_instance(inst: NonexistenceInstance) -> NonexistenceRepo
     (a, b) shows it, else one over the quadruple (a, b', b, a'), since a, b'
     lie in the first factor ideal and b, a' in the second; both are exact.
     The split witness (lambda1, lambda2), lambda1 + lambda2 = 1, is returned
-    and re-verified for membership.
+    and, when (i) holds, re-verified for membership.
     """
     desc = inst.a.descriptor
     if inst.a_prime.is_zero():
@@ -611,7 +604,9 @@ def verify_nonexistence_instance(inst: NonexistenceInstance) -> NonexistenceRepo
         if lambda1 + lambda2 != RingElement.one(desc):
             raise ValueError("split witness does not sum to 1")
         a, a_prime = inst.a.value, inst.a_prime.value
-        if not a.is_zero():  # lambda1/p = lambda1*a'/a and lambda2*p = lambda2*a/a' lie in A
+        # lambda1/p = lambda1*a'/a and lambda2*p = lambda2*a/a' lie in A, since
+        # a*b = a'*b' puts b' in the first factor ideal and b in the second
+        if cond_i and not a.is_zero():
             if desc.quotient(lambda1.value * a_prime, a) is None or desc.quotient(lambda2.value * a, a_prime) is None:
                 raise ValueError("split witness fails factor membership")
     return NonexistenceReport(
@@ -629,8 +624,7 @@ def verify_nonexistence_instance(inst: NonexistenceInstance) -> NonexistenceRepo
     )
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(Record):
     """Parameters (x, y) of the instance family over Z[sqrt(xy-1)*i]."""
 
     x: int

@@ -28,14 +28,14 @@ re-verified on construction.  Construction strategies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import ClassVar, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .coprime import QuadIdeal, delay_bezout, factor_ideals
 from .exact import ZERO, Poly, ext_gcd_int
+from .record import Record
 from .rings import DelayRing, QuadraticRing, RingElement, TransferFunction, contains
 
 
@@ -65,11 +65,10 @@ def lambda_member(lam: RingElement, p: TransferFunction, which: Which) -> bool:
 
 # Each trace's field names are its JSON keys, after ``"kind": kind``.
 
-@dataclass(frozen=True)
-class QuadraticTrace:
+class QuadraticTrace(Record):
     """Data of the quadratic fast path."""
 
-    kind: ClassVar[str] = "quadratic_fast_path"
+    kind = "quadratic_fast_path"
     num_re: int
     num_im: int
     den: int
@@ -84,11 +83,10 @@ class QuadraticTrace:
             raise ValueError("trace inconsistency: recorded gcd is wrong")
 
 
-@dataclass(frozen=True)
-class DelayTrace:
+class DelayTrace(Record):
     """Data of the delay-ring construction."""
 
-    kind: ClassVar[str] = "delay_construction"
+    kind = "delay_construction"
     gcd: Poly                     # gcd(n, d) over Q[x], constant term 1
     gcd_slope: Fraction           # its x^1 coefficient
     multiplier_constant: Fraction
@@ -106,25 +104,22 @@ class DelayTrace:
     cof_den1: Fraction
 
 
-@dataclass(frozen=True)
-class ReciprocalTrace:
+class ReciprocalTrace(Record):
     """Witness (1 - q, q) for a plant whose inverse q lies in A."""
 
-    kind: ClassVar[str] = "reciprocal"
+    kind = "reciprocal"
     q: RingElement
 
 
-@dataclass(frozen=True)
-class IdealTrace:
+class IdealTrace(Record):
     """The factor ideals L1 and L2 behind a quadratic ideal witness."""
 
-    kind: ClassVar[str] = "factor_ideals"
+    kind = "factor_ideals"
     lambda1: QuadIdeal
     lambda2: QuadIdeal
 
 
-@dataclass(frozen=True)
-class WitnessPair:
+class WitnessPair(Record):
     """lam1 in L1, lam2 in L2 with u*lam1 + v*lam2 = 1, all re-verified."""
 
     plant: TransferFunction

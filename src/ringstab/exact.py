@@ -9,9 +9,10 @@ operation is a pure function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
+
+from .record import Record
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -41,8 +42,7 @@ def is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-@dataclass(frozen=True)
-class QuadElem:
+class QuadElem(Record):
     """Element re + im*sqrt(m)*i of the imaginary quadratic field Q(sqrt(m)*i).
 
     Components are exact rationals; ``m`` is the fixed positive non-square ring
@@ -53,6 +53,11 @@ class QuadElem:
     re: Fraction
     im: Fraction
     m: int
+
+    def __init__(self, re: Fraction, im: Fraction, m: int):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+        object.__setattr__(self, "m", m)
 
     @staticmethod
     def of(re, im, m: int) -> "QuadElem":
@@ -115,14 +120,16 @@ def quad_norm(z: QuadElem) -> Fraction:
     return z.norm()
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Record):
     """Dense univariate polynomial over Q, coefficients ascending, no trailing zeros.
 
     The zero polynomial has an empty coefficient tuple and degree -1.
     """
 
     coeffs: tuple[Fraction, ...]
+
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def of(*coeffs) -> "Poly":

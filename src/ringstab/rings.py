@@ -23,12 +23,12 @@ plain component comparison.
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Union
 
 from .exact import ONE, Poly, QuadElem, is_square, poly_divmod, poly_gcd
+from .record import Record
 
 
 def _rational(obj, field: str) -> Fraction:
@@ -47,8 +47,7 @@ def _latex_frac(q: Fraction) -> str:
     return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
 
 
-@dataclass(frozen=True)
-class QuadraticRing:
+class QuadraticRing(Record):
     """A = Z[sqrt(m)*i]; values are QuadElem, fractions (a1 + a2*sqrt(m)*i)/beta."""
 
     m: int
@@ -138,8 +137,7 @@ class QuadraticRing:
         return f"{_latex_frac(v.re)} {'+' if v.im > 0 else '-'} {tail}"
 
 
-@dataclass(frozen=True)
-class DelayRing:
+class DelayRing(Record):
     """A = Q[x^2, x^3]; values are Poly, fractions num/den reduced over Q[x]."""
 
     def __str__(self) -> str:
@@ -277,15 +275,16 @@ def ring_from_json(obj: dict) -> RingDescriptor:
         raise ValueError(f"bad ring descriptor ({exc})")
 
 
-@dataclass(frozen=True)
-class RingElement:
+class RingElement(Record):
     """Member of the stable ring A: a value its ring's ``check`` accepts."""
 
     descriptor: RingDescriptor
     value: Union[QuadElem, Poly]
 
-    def __post_init__(self):
-        self.descriptor.check(self.value)
+    def __init__(self, descriptor: RingDescriptor, value: Union[QuadElem, Poly]):
+        descriptor.check(value)
+        object.__setattr__(self, "descriptor", descriptor)
+        object.__setattr__(self, "value", value)
 
     # -- constructors -------------------------------------------------------
 
@@ -352,14 +351,18 @@ def is_unit(e: RingElement) -> bool:
     return e.descriptor.is_unit(e.value)
 
 
-@dataclass(frozen=True)
-class TransferFunction:
+class TransferFunction(Record):
     """Reduced fraction num/den over the fraction field F of A, in the ring's
     ``canonical`` form, so that equality on the components is equality in F."""
 
     descriptor: RingDescriptor
     num: Union[QuadElem, Poly]
     den: Union[QuadElem, Poly]
+
+    def __init__(self, descriptor: RingDescriptor, num: Union[QuadElem, Poly], den: Union[QuadElem, Poly]):
+        object.__setattr__(self, "descriptor", descriptor)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @staticmethod
     def make(desc: RingDescriptor, num, den) -> "TransferFunction":
@@ -485,11 +488,24 @@ def format_element_value(desc: RingDescriptor, v: Union[QuadElem, Poly]) -> str:
     return desc.format(v)
 
 
+def _signed_terms(s: str, glue: str) -> list[str]:
+    """s cut before each sign that follows neither a sign nor a character of ``glue``."""
+    terms, start = [], 0
+    for i in range(1, len(s)):
+        if s[i] in "+-" and s[i - 1] not in "+-" + glue:
+            terms.append(s[start:i])
+            start = i
+    terms.append(s[start:])
+    return terms
+
+
 def _unsigned(term: str, text: str) -> tuple[bool, str]:
     """(negated, body) of a term with at most one leading sign."""
     body = term.lstrip("+-")
     if len(term) - len(body) > 1:
         raise ValueError(f"more than one sign before a term in {text!r}")
+    if not body:
+        raise ValueError(f"a sign without a term in {text!r}")
     return term.startswith("-"), body
 
 
@@ -500,18 +516,10 @@ def parse_quad(text: str, m: int) -> QuadElem:
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty quadratic element literal")
-    # split into at most two signed chunks
-    chunks = []
-    start = 0
-    for i in range(1, len(s)):
-        if s[i] in "+-" and s[i - 1] not in "+-*/":
-            chunks.append(s[start:i])
-            start = i
-    chunks.append(s[start:])
     re_part = Fraction(0)
     im_part = Fraction(0)
     seen_re = seen_im = False
-    for chunk in chunks:
+    for chunk in _signed_terms(s, "*/"):
         neg, body = _unsigned(chunk, text)
         mt = _QUAD_TERM.match(body)
         if mt:
@@ -535,17 +543,15 @@ _POLY_TERM = _re.compile(r"^(?:(?P<coeff>\d+(?:/\d+)?)\*)?x(?:\^(?P<exp>\d+))?$"
 
 
 def parse_poly(text: str) -> Poly:
-    s = " ".join(text.split())
+    s = _re.sub(r" ?([+-]) ?", r"\1", " ".join(text.split()))  # no space next to a sign
     if not s:
         raise ValueError("empty polynomial literal")
-    s = s.replace(" - ", " + -").replace(" + ", "|")
     coeffs: dict[int, Fraction] = {}
-    for raw in s.split("|"):
-        term = raw.strip()
-        if not term:
-            continue
+    # "e" keeps 1e-3 whole; a "+" between terms only separates them, a "-" also negates
+    for i, term in enumerate(_signed_terms(s, "*/^eE")):
+        if i and term.startswith("+"):
+            term = term[1:]
         neg, body = _unsigned(term, text)
-        body = body.strip()
         mt = _POLY_TERM.match(body)
         if mt:
             k = int(mt.group("exp") or 1)

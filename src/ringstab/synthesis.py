@@ -24,13 +24,13 @@ reproduces the worked examples (r1 = r2 = 0) and keeps the knob verifiable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .closedloop import FeedbackMatrix, feedback_matrix
 from .coprime import QuadIdeal, factor_ideals
 from .elemfactor import WitnessPair, witness_candidates
 from .exact import ext_gcd_int
+from .record import Record
 from .rings import QuadraticRing, RingElement, TransferFunction, contains, is_causal
 
 
@@ -44,8 +44,7 @@ class SynthesisError(Exception):
         self.certificate = certificate
 
 
-@dataclass(frozen=True)
-class CoprimePairLocal:
+class CoprimePairLocal(Record):
     """The two localized coprime pairs of the plant with their Bezout data."""
 
     n1: TransferFunction
@@ -73,14 +72,12 @@ class CoprimePairLocal:
         return pair
 
 
-@dataclass(frozen=True)
-class SynthesisConfig:
+class SynthesisConfig(Record):
     r1: Optional[RingElement] = None
     r2: Optional[RingElement] = None
 
 
-@dataclass(frozen=True)
-class SynthesisResult:
+class SynthesisResult(Record):
     """A controller with the closed-loop matrix H(plant, controller), which must be stable."""
 
     controller: TransferFunction
@@ -93,7 +90,7 @@ class SynthesisResult:
     lam2: Optional[RingElement]
     r1: Optional[RingElement]
     r2: Optional[RingElement]
-    condition_ii_products: tuple[RingElement, ...] = field(default_factory=tuple)
+    condition_ii_products: tuple[RingElement, ...] = ()
     witness: Optional[WitnessPair] = None
     trivial: bool = False
 

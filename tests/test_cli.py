@@ -190,6 +190,21 @@ class TestVerify:
         code, doc = run_json(capsys, "verify", fx("delay_plant.json"), literal)
         assert code == EXIT_OK and doc["stable"] is True
 
+    @pytest.mark.parametrize("compact, spaced, code", [
+        ("(1-x^2)/(1)", "(1 - x^2)/(1)", EXIT_UNKNOWN),
+        ("1 -x^2", "1 - x^2", EXIT_UNKNOWN),
+        ("1- x^2", "1 - x^2", EXIT_UNKNOWN),
+        ("(-101+255*x^2-343*x^3-56*x^4+343*x^5-98*x^6)/(1089-154*x^2+242*x^3-98*x^4+154*x^5-343*x^6+98*x^7)",
+         "(-101 + 255*x^2 - 343*x^3 - 56*x^4 + 343*x^5 - 98*x^6)"
+         "/(1089 - 154*x^2 + 242*x^3 - 98*x^4 + 154*x^5 - 343*x^6 + 98*x^7)", EXIT_OK),
+    ], ids=["no-spaces", "space-before", "space-after", "controller"])
+    def test_compact_delay_literal(self, capsys, compact, spaced, code):
+        compact_code, compact_doc = run_json(capsys, "verify", fx("delay_plant.json"), compact)
+        spaced_code, spaced_doc = run_json(capsys, "verify", fx("delay_plant.json"), spaced)
+        assert compact_code == spaced_code == code
+        assert compact in compact_doc.pop("argv") and spaced in spaced_doc.pop("argv")
+        assert compact_doc == spaced_doc
+
     def test_missing_controller(self, capsys):
         code, _, err = run(capsys, "verify", fx("delay_plant.json"))
         assert code == EXIT_PARSE
@@ -392,6 +407,12 @@ class TestReports:
          "controller literal: more than one sign before a term in '1+-i5'"),
         (["synthesize", "{plant}", "--r1", "1 - -x^2"], DELAY_DOC,
          "--r1: more than one sign before a term in '1 - -x^2'"),
+        (["synthesize", "{plant}", "--r1", "1--x^2"], DELAY_DOC,
+         "--r1: more than one sign before a term in '1--x^2'"),
+        (["verify", "{plant}", "(1 - -x^2)/(1)"], DELAY_DOC,
+         "controller literal: more than one sign before a term in '1 - -x^2'"),
+        (["verify", "{plant}", "(x^2-)/(1)"], DELAY_DOC,
+         "controller literal: a sign without a term in 'x^2-'"),
         (["synthesize", "{plant}", "--r1", "1/2"], None,
          "--r1: 1/2 has non-integer components; not in Z[sqrt(5)i]"),
         (["synthesize", "{plant}"], dict(quad_doc(5, 1, 1, 2), config={"r1": {"re": "1/2"}}),
@@ -413,7 +434,8 @@ class TestReports:
         (["verify", "{plant}", "--json", "--bogus"], None, "unrecognized arguments: --bogus"),
         (["verify", "{plant}", "--json", "-1+i5"], None, "unrecognized arguments: -1+i5"),
         (["synthesize", "{plant}", "--json", "(1)/(2)"], None, "unrecognized arguments: (1)/(2)"),
-    ], ids=["verify-sign-chain", "r1-poly-sign-chain", "r1-non-integer", "config-non-integer",
+    ], ids=["verify-sign-chain", "r1-poly-sign-chain", "r1-compact-poly-sign-chain", "verify-poly-sign-chain",
+            "verify-poly-trailing-sign", "r1-non-integer", "config-non-integer",
             "config-non-integer-im", "bad-rational", "bad-ring-square", "bad-ring-no-m", "re-float",
             "coeffs-bool", "verify-two-literals-after-option", "verify-two-literals", "verify-unknown-option",
             "verify-option-like-literal", "synthesize-extra-positional"])

@@ -1,6 +1,5 @@
 """Closed-loop matrix, stability predicate, and the worked-example family."""
 
-import dataclasses
 import random
 
 import pytest
@@ -87,7 +86,8 @@ class TestRecordHoldsItsMemberships:
         assert not h.stable
 
     def test_three_init_fields(self):
-        assert [f.name for f in dataclasses.fields(FeedbackMatrix) if f.init] == ["h11", "h12", "h21"]
+        # ``members`` is derived in ``__post_init__``, not a field
+        assert FeedbackMatrix._fields == ("h11", "h12", "h21")
 
 
 def reference_entries(p, c):

@@ -375,6 +375,17 @@ class TestInstanceVerifier:
         report = verify_nonexistence_instance(NonexistenceInstance(q5(1), q5(1), q5(1), q5(2)))
         assert not report.cond_i
 
+    @pytest.mark.parametrize("inst", [
+        NonexistenceInstance(q5(1, 1), q5(1, -1), q5(2), q5(5)),
+        NonexistenceInstance(dp(1, 0, -1), dp(0, 0, 1), dp(1, 0, 0, -1), dp(0, 0, 1, 1)),
+    ], ids=["quadratic", "delay"])
+    def test_split_witness_of_failing_product_not_checked(self, inst):
+        # a*b != a'*b', so the split witness need not lie in the factor ideals of a/a'
+        report = verify_nonexistence_instance(inst)
+        assert not report.cond_i
+        assert report.cond_iii == Verdict.HOLDS
+        assert report.lambda1 + report.lambda2 == RingElement.one(inst.a.descriptor)
+
     def test_zero_a_prime_rejected(self):
         with pytest.raises(ValueError):
             verify_nonexistence_instance(NonexistenceInstance(q5(1), q5(1), q5(0), q5(1)))

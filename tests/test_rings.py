@@ -324,6 +324,21 @@ class TestTextualForms:
         for _ in range(200):
             p = Poly.from_list([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(0, 7))])
             assert parse_poly(format_poly(p)) == p
+            assert parse_poly(format_poly(p).replace(" ", "")) == p  # the compact form too
+
+    @pytest.mark.parametrize("text, coeffs", [
+        ("1-x^2", (1, 0, -1)),
+        ("1 -x^2", (1, 0, -1)),
+        ("1- x^2", (1, 0, -1)),
+        ("-x^2+2/3*x^3-1", (-1, 0, -1, F(2, 3))),
+        ("1e-3 - x^2", (F(1, 1000), 0, -1)),
+        ("1e-3-x^2", (F(1, 1000), 0, -1)),
+    ])
+    def test_compact_poly_literal(self, text, coeffs):
+        p = Poly.of(*coeffs)
+        assert parse_poly(text) == p
+        assert parse_poly(format_poly(p)) == p
+        assert " - " in format_poly(p)  # the printed form stays spaced
 
     def test_fixture_strings(self):
         assert format_quad(QuadElem.of(-1, 1, 5)) == "-1+i5"

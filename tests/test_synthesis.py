@@ -1,16 +1,16 @@
 """Controller synthesis: condition solving, membership checks, full pipeline."""
 
-import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from ringstab import synthesis
-from ringstab.closedloop import is_stable
+from ringstab.closedloop import FeedbackMatrix, is_stable
 from ringstab.elemfactor import (
     IdealTrace,
     ReciprocalTrace,
+    WitnessPair,
     construct_witnesses_delay,
     construct_witnesses_quadratic,
     search_witnesses_quadratic,
@@ -83,7 +83,7 @@ class TestConditionI:
         # before condition (i) is solved
         w = construct_witnesses_quadratic(P_Z5)
         with pytest.raises(ValueError):
-            condition_i_solutions(dataclasses.replace(w, v=q5(1)), omega=1)
+            condition_i_solutions(WitnessPair(w.plant, w.lam1, w.lam2, w.u, q5(1), w.trace), omega=1)
 
     def test_omega_below_one_rejected(self):
         w = construct_witnesses_quadratic(P_Z5)
@@ -187,7 +187,12 @@ class TestSynthesize:
     def test_unstable_closed_loop_raises(self, plant, monkeypatch):
         real = synthesis.feedback_matrix
         half = TransferFunction.make(Z5, QuadElem.of(1, 0, 5), QuadElem.of(2, 0, 5))  # outside A
-        monkeypatch.setattr(synthesis, "feedback_matrix", lambda p, c: dataclasses.replace(real(p, c), h12=half))
+
+        def with_h12_half(p, c):
+            h = real(p, c)
+            return FeedbackMatrix(h.h11, half, h.h21)
+
+        monkeypatch.setattr(synthesis, "feedback_matrix", with_h12_half)
         with pytest.raises(SynthesisError) as err:
             synthesize(plant)
         assert err.value.condition == "stability"
@@ -237,7 +242,7 @@ class TestSynthesize:
 
     def test_omega_cap_respected(self):
         # omega <= 3 decides (see synthesize), so there is no cap to configure
-        assert [f.name for f in dataclasses.fields(SynthesisConfig)] == ["r1", "r2"]
+        assert SynthesisConfig._fields == ("r1", "r2")
         with pytest.raises(TypeError):
             SynthesisConfig(omega_max=0)
 
