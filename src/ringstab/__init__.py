@@ -35,13 +35,11 @@ from .elemfactor import (
     DelayTrace,
     IdealTrace,
     QuadraticTrace,
-    ReciprocalTrace,
     Which,
     WitnessPair,
     construct_witnesses_delay,
     construct_witnesses_quadratic,
     lambda_member,
-    reciprocal_witness,
     search_witnesses_quadratic,
     witness_candidates,
 )

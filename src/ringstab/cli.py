@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
 
 from . import coprime as cp
 from .closedloop import feedback_matrix
@@ -27,6 +26,7 @@ from .rings import (
     RingElement,
     TransferFunction,
     causal_representation,
+    check_literal_digits,
     contains,
     format_poly,
     is_causal,
@@ -50,6 +50,11 @@ class PlantFileError(Exception):
 # Plant files
 # ---------------------------------------------------------------------------
 
+def _json_int(text: str) -> int:
+    check_literal_digits(text)
+    return int(text)
+
+
 def _parse_elem_value(desc: RingDescriptor, obj, where: str):
     try:
         return desc.value_from_json(obj)
@@ -70,11 +75,13 @@ class PlantFile:
     def load(path: str) -> "PlantFile":
         try:
             with open(path) as fh:
-                doc = json.load(fh)
+                doc = json.load(fh, parse_int=_json_int)
         except OSError as exc:
             raise PlantFileError(f"cannot read {path}: {exc}")
         except json.JSONDecodeError as exc:
             raise PlantFileError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})")
+        except ValueError as exc:  # a long JSON integer (_json_int) or bytes that are not UTF-8
+            raise PlantFileError(f"{path}: {exc}")
         return PlantFile.from_dict(doc, where=path)
 
     @staticmethod
@@ -146,7 +153,7 @@ def _tf_json(tf: TransferFunction) -> dict:
     return {"display": str(tf), **_pair_json(tf)}
 
 
-def _elem_str(e: Optional[RingElement]) -> Optional[str]:
+def _elem_str(e: RingElement | None) -> str | None:
     return None if e is None else str(e)
 
 
@@ -197,7 +204,7 @@ class Report:
         self.lines: list[str] = []
         self.status = EXIT_OK
 
-    def put(self, key: str, value, line: Optional[str] = None) -> None:
+    def put(self, key: str, value, line: str | None = None) -> None:
         self.data[key] = value
         if line is not None:
             self.lines.append(line)
@@ -467,7 +474,7 @@ def _positional(arg: str) -> bool:
     return not arg.startswith("-") or arg[1:].isdecimal()
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
@@ -485,7 +492,20 @@ def main(argv: Optional[list[str]] = None) -> int:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
-    rep = Report(args.cmd, argv)
+    # Reports print products of the inputs, which can pass CPython's limit on
+    # int/str conversion (3.10.7 on).  The options were parsed under the limit,
+    # and plant files and literals keep it through check_literal_digits.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(args, Report(args.cmd, argv))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(args, rep: Report) -> int:
     try:
         args.func(args, rep)
     except PlantFileError as exc:

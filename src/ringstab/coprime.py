@@ -16,8 +16,8 @@ cofactors in A), and the nonconstant gcd certifies NotCoprime.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from enum import Enum
-from typing import Optional, Sequence
 
 from .exact import ZERO, Poly, QuadElem, ext_gcd_int, ext_gcd_poly, is_square, poly_divides, poly_gcd
 from .record import Record
@@ -83,7 +83,7 @@ def _hnf2(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     return top, bottom
 
 
-def _express_one(rows: Sequence[Sequence[int]]) -> Optional[list[int]]:
+def _express_one(rows: Sequence[Sequence[int]]) -> list[int] | None:
     """Integer coefficients c with sum(c_i * rows_i) = (1, 0), or None.
 
     (1, 0) = s1*(a, 0) + s2*(b, c) forces s2 = 0 and a = s1 = 1, so the
@@ -234,7 +234,7 @@ def principal_ideal(m: int, z: QuadElem) -> QuadIdeal:
     return ideal_from_gens(m, [z])
 
 
-def ideal_is_principal(ideal: QuadIdeal) -> Optional[QuadElem]:
+def ideal_is_principal(ideal: QuadIdeal) -> QuadElem | None:
     """A generator of the ideal, or None.  Complete in every order.
 
     A generator z has N(z) = [A : zA] = norm(ideal), so enumerating the
@@ -267,8 +267,8 @@ class FactorIdeals(Record):
     A non-invertible G (both None) means the plant is not stabilizable."""
 
     ideal: QuadIdeal
-    lam1: Optional[QuadIdeal] = None
-    lam2: Optional[QuadIdeal] = None
+    lam1: QuadIdeal | None = None
+    lam2: QuadIdeal | None = None
 
     @property
     def invertible(self) -> bool:
@@ -315,7 +315,7 @@ class DelayBezout(Record):
     cofactors: tuple[Poly, ...]
 
 
-def delay_bezout(gens: Sequence[Poly]) -> Optional[DelayBezout]:
+def delay_bezout(gens: Sequence[Poly]) -> DelayBezout | None:
     """Cofactors in A for generators in A, or None iff their gcd over Q[x] is not 1.
 
     A = Q[x^2, x^3] is an integral extension inside Q[x], so elements of A are
@@ -350,7 +350,7 @@ def delay_bezout(gens: Sequence[Poly]) -> Optional[DelayBezout]:
     return DelayBezout(tuple(qx), tuple(shifts), tuple(cofactors))
 
 
-def bezout_combination(desc: RingDescriptor, gens: Sequence[RingElement]) -> Optional[list[RingElement]]:
+def bezout_combination(desc: RingDescriptor, gens: Sequence[RingElement]) -> list[RingElement] | None:
     """Coefficients x_i in A with sum x_i * g_i = 1, or None if there are none.
 
     Exact and complete for both rings: lattice membership of 1 for quadratic
@@ -398,10 +398,10 @@ class CoprimeCertificate(Record):
     kind: CertKind
     a: RingElement
     b: RingElement
-    x: Optional[RingElement] = None
-    y: Optional[RingElement] = None
-    ideal: Optional[QuadIdeal] = None
-    common_factor: Optional[Poly] = None
+    x: RingElement | None = None
+    y: RingElement | None = None
+    ideal: QuadIdeal | None = None
+    common_factor: Poly | None = None
 
     def __post_init__(self):
         if self.kind == CertKind.WITNESS:
@@ -452,12 +452,12 @@ class CFVerdict(Record):
 
     kind: CFKind
     plant: TransferFunction
-    n: Optional[RingElement] = None
-    d: Optional[RingElement] = None
-    x: Optional[RingElement] = None
-    y: Optional[RingElement] = None
-    ideal: Optional[QuadIdeal] = None
-    reason: Optional[str] = None
+    n: RingElement | None = None
+    d: RingElement | None = None
+    x: RingElement | None = None
+    y: RingElement | None = None
+    ideal: QuadIdeal | None = None
+    reason: str | None = None
 
     def __post_init__(self):
         if self.kind == CFKind.EXISTS:
@@ -546,9 +546,9 @@ class NonexistenceReport(Record):
     cond_ii: Verdict
     pair_certificate: CoprimeCertificate
     cond_iii: Verdict
-    cond_iii_via: Optional[str] = None
-    lambda1: Optional[RingElement] = None
-    lambda2: Optional[RingElement] = None
+    cond_iii_via: str | None = None
+    lambda1: RingElement | None = None
+    lambda2: RingElement | None = None
 
 
 def verify_nonexistence_instance(inst: NonexistenceInstance) -> NonexistenceReport:

@@ -22,21 +22,26 @@ re-verified on construction.  Construction strategies:
   re-inflate the reduced denominator den by a multiplier 1 + s*x + c*s^2*x^2
   (s the gcd slope, c from a fixed constant sequence) until it is coprime to
   the numerator, and take the Bezout cofactors in A from ``delay_bezout``.
-* reciprocal: when q = 1/p lies in A, (lam1, lam2) = (1 - q, q) with
-  u = v = 1.  The constructions above give a unit lam1 there.
+
+Every pair has v outside the causality set Z of ``rings``.  The ideal witness
+has v = 1; the other two constructions replace a Bezout pair with v in Z by
+(u - lam2, v + lam1), which solves the same identity.  Then u*lam1 =
+1 - v*lam2 lies outside the ideal Z, so lam1 and v + lam1 do too.  With
+r1 = r2 = 0, ``synthesize`` closes the loop with the first witness at
+omega = 1, where the controller denominator is v*lam2.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Optional, Union
 
 from .coprime import QuadIdeal, delay_bezout, factor_ideals
 from .exact import ZERO, Poly, ext_gcd_int
 from .record import Record
-from .rings import DelayRing, QuadraticRing, RingElement, TransferFunction, contains
+from .rings import DelayRing, QuadraticRing, RingElement, TransferFunction, contains, in_causality_set
 
 
 def _multiplier_constants():
@@ -97,18 +102,11 @@ class DelayTrace(Record):
     den_inflated: Poly            # den_reduced * multiplier; lam2 otherwise
     cof_num: Poly                 # cof_num*lam1 + cof_den*lam2 = 1
     cof_den: Poly
-    shift: Poly                   # degree-1 shift repairing the cofactors
+    shift: Poly                   # u = cof_num + shift*lam2, v = cof_den - shift*lam1
     cof_num0: Fraction
     cof_num1: Fraction
     cof_den0: Fraction
     cof_den1: Fraction
-
-
-class ReciprocalTrace(Record):
-    """Witness (1 - q, q) for a plant whose inverse q lies in A."""
-
-    kind = "reciprocal"
-    q: RingElement
 
 
 class IdealTrace(Record):
@@ -120,14 +118,14 @@ class IdealTrace(Record):
 
 
 class WitnessPair(Record):
-    """lam1 in L1, lam2 in L2 with u*lam1 + v*lam2 = 1, all re-verified."""
+    """lam1 in L1, lam2 in L2 with u*lam1 + v*lam2 = 1 and v outside Z, all re-verified."""
 
     plant: TransferFunction
     lam1: RingElement
     lam2: RingElement
     u: RingElement
     v: RingElement
-    trace: Union[QuadraticTrace, DelayTrace, ReciprocalTrace, IdealTrace]
+    trace: QuadraticTrace | DelayTrace | IdealTrace
 
     def __post_init__(self):
         desc = self.plant.descriptor
@@ -137,18 +135,11 @@ class WitnessPair(Record):
             raise ValueError("lam2 fails second factor membership")
         if self.u * self.lam1 + self.v * self.lam2 != RingElement.one(desc):
             raise ValueError("Bezout identity u*lam1 + v*lam2 = 1 fails")
+        if in_causality_set(self.v):
+            raise ValueError("v lies in the causality set Z")
 
 
-def reciprocal_witness(p: TransferFunction) -> Optional[WitnessPair]:
-    """(lam1, lam2) = (1 - q, q) with u = v = 1 when q = 1/p lies in A, else None."""
-    q = contains(p.inverse())
-    if q is None:
-        return None
-    one = RingElement.one(p.descriptor)
-    return WitnessPair(plant=p, lam1=one - q, lam2=q, u=one, v=one, trace=ReciprocalTrace(q))
-
-
-def construct_witnesses_quadratic(p: TransferFunction) -> Optional[WitnessPair]:
+def construct_witnesses_quadratic(p: TransferFunction) -> WitnessPair | None:
     """Fast-path witnesses for a quadratic-ring plant outside A.
 
     Returns None when the integer pair (N/g, beta) is not coprime; the caller
@@ -171,17 +162,14 @@ def construct_witnesses_quadratic(p: TransferFunction) -> Optional[WitnessPair]:
         num_re=num_re, num_im=num_im, den=den,
         num_norm=num_norm, norm_den_gcd=shared, norm_cofactor=cofactor,
     )
-    return WitnessPair(
-        plant=p,
-        lam1=RingElement.quad(desc, cofactor),
-        lam2=RingElement.quad(desc, den),
-        u=RingElement.quad(desc, u),
-        v=RingElement.quad(desc, v),
-        trace=trace,
-    )
+    lam1, lam2 = RingElement.quad(desc, cofactor), RingElement.quad(desc, den)
+    u, v = RingElement.quad(desc, u), RingElement.quad(desc, v)
+    if in_causality_set(v):
+        u, v = u - lam2, v + lam1
+    return WitnessPair(plant=p, lam1=lam1, lam2=lam2, u=u, v=v, trace=trace)
 
 
-def search_witnesses_quadratic(p: TransferFunction) -> Optional[WitnessPair]:
+def search_witnesses_quadratic(p: TransferFunction) -> WitnessPair | None:
     """The least lam = u + v*w in the order (max(|u|, |v|), u, v) with lam in L1 and
     1 - lam in L2; None iff G = (num, den) is not invertible (p not stabilizable)."""
     ideals = factor_ideals(p)
@@ -222,7 +210,11 @@ def construct_witnesses_delay(p: TransferFunction) -> WitnessPair:
         bezout = delay_bezout([lam1, lam2])
         if bezout is not None:
             break
-    (cof_num, cof_den), (shift, _), (u, v) = bezout.qx, bezout.shifts, bezout.cofactors
+    (cof_num, cof_den), (shift, _) = bezout.qx, bezout.shifts
+    lam1, lam2 = RingElement(desc, lam1), RingElement(desc, lam2)
+    u, v = (RingElement(desc, c) for c in bezout.cofactors)
+    if in_causality_set(v):
+        u, v, shift = u - lam2, v + lam1, shift - Poly.one()
 
     trace = DelayTrace(
         gcd=w,
@@ -241,14 +233,7 @@ def construct_witnesses_delay(p: TransferFunction) -> WitnessPair:
         cof_den0=cof_den.coeff(0),
         cof_den1=cof_den.coeff(1),
     )
-    return WitnessPair(
-        plant=p,
-        lam1=RingElement(desc, lam1),
-        lam2=RingElement(desc, lam2),
-        u=RingElement(desc, u),
-        v=RingElement(desc, v),
-        trace=trace,
-    )
+    return WitnessPair(plant=p, lam1=lam1, lam2=lam2, u=u, v=v, trace=trace)
 
 
 def search_witnesses_delay(p: TransferFunction) -> WitnessPair:
@@ -259,16 +244,13 @@ def search_witnesses_delay(p: TransferFunction) -> WitnessPair:
 def witness_candidates(p: TransferFunction) -> Iterator[WitnessPair]:
     """The witnesses synthesis tries, in order, for a causal plant outside A.
 
-    First the construction for the plant's ring.  When 1/p lies in A its
-    lam1 is a unit, which with r1 = 0 leaves a2 = 0 and a zero controller
-    denominator at every omega, so the reciprocal witness comes next.
-    Quadratic rings end with the ideal witness, which exists exactly when the
-    plant is stabilizable.
+    First the construction for the plant's ring.  Quadratic rings end with
+    the ideal witness, which exists exactly when the plant is stabilizable.
     """
     if isinstance(p.descriptor, DelayRing):
-        makers = (construct_witnesses_delay, reciprocal_witness)
+        makers = (construct_witnesses_delay,)
     else:
-        makers = (construct_witnesses_quadratic, reciprocal_witness, search_witnesses_quadratic)
+        makers = (construct_witnesses_quadratic, search_witnesses_quadratic)
     for make in makers:
         witness = make(p)
         if witness is not None:

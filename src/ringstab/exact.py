@@ -9,8 +9,8 @@ operation is a pure function.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .record import Record
 
@@ -321,7 +321,7 @@ class RatMatrix:
         return self.entries[ij[0]][ij[1]]
 
 
-def solve_linear(m: RatMatrix, rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
+def solve_linear(m: RatMatrix, rhs: Sequence[Fraction]) -> list[Fraction] | None:
     """Solve M x = rhs exactly, or return None if inconsistent.
 
     Gaussian elimination with a fixed rule (first nonzero pivot by row order,

@@ -25,15 +25,33 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Union
 
 from .exact import ONE, Poly, QuadElem, is_square, poly_divmod, poly_gcd
 from .record import Record
 
 
+MAX_LITERAL_DIGITS = 4300  # CPython's default int_max_str_digits
+_DIGIT_RUN = _re.compile(r"[\d_]+")
+
+
+def check_literal_digits(text: str) -> None:
+    """Raise ValueError if a number in text has more than MAX_LITERAL_DIGITS digits.
+
+    CPython refuses to convert such a number by default.  ``cli.main`` lifts
+    that limit so that large results print, and this check keeps the accepted
+    inputs as they were.  It reads only lengths, so a huge literal is refused
+    at once.
+    """
+    for run in _DIGIT_RUN.findall(text):
+        if len(run) - run.count("_") > MAX_LITERAL_DIGITS:
+            raise ValueError(f"a number has more than {MAX_LITERAL_DIGITS} digits")
+
+
 def _rational(obj, field: str) -> Fraction:
     if isinstance(obj, (float, bool)):  # Fraction(0.1) is the binary float, Fraction(True) is 1
         raise ValueError(f"{field} must be a JSON integer or a rational string, got {obj!r}")
+    if isinstance(obj, str):
+        check_literal_digits(obj)
     try:
         return Fraction(obj)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -92,7 +110,7 @@ class QuadraticRing(Record):
             b = 1
         return QuadElem.of(a1, a2, self.m), QuadElem.integer(b, self.m)
 
-    def quotient(self, num: QuadElem, den: QuadElem) -> Optional[QuadElem]:
+    def quotient(self, num: QuadElem, den: QuadElem) -> QuadElem | None:
         """num/den when it lies in A (integral components), else None."""
         z = num / den
         return z if z.is_integral() else None
@@ -169,12 +187,12 @@ class DelayRing(Record):
         scale = den(0) if den(0) != 0 else den.leading()
         return num.scale(1 / scale), den.scale(1 / scale)
 
-    def quotient(self, num: Poly, den: Poly) -> Optional[Poly]:
+    def quotient(self, num: Poly, den: Poly) -> Poly | None:
         """num/den when den | num over Q[x] and the quotient has no x^1 term, else None."""
         q, r = poly_divmod(num, den)
         return q if r.is_zero() and q.coeff(1) == 0 else None
 
-    def causal_factor(self, num: Poly, den: Poly) -> Optional[Poly]:
+    def causal_factor(self, num: Poly, den: Poly) -> Poly | None:
         """w with (w*num, w*den) in A and w*den outside Z, for canonical num/den, or None.
 
         Every polynomial representation is (w*num, w*den); killing both x^1
@@ -186,7 +204,7 @@ class DelayRing(Record):
             return None
         return Poly.from_list([ONE, -den.coeff(1)])
 
-    def causal_pair(self, num: Poly, den: Poly) -> Optional[tuple[Poly, Poly]]:
+    def causal_pair(self, num: Poly, den: Poly) -> tuple[Poly, Poly] | None:
         """(w*num, w*den) for the ``causal_factor`` w, or None."""
         w = self.causal_factor(num, den)
         if w is None:
@@ -249,7 +267,7 @@ class DelayRing(Record):
         return " ".join(parts)
 
 
-RingDescriptor = Union[QuadraticRing, DelayRing]
+RingDescriptor = QuadraticRing | DelayRing
 
 
 def quadratic(m: int) -> QuadraticRing:
@@ -279,9 +297,9 @@ class RingElement(Record):
     """Member of the stable ring A: a value its ring's ``check`` accepts."""
 
     descriptor: RingDescriptor
-    value: Union[QuadElem, Poly]
+    value: QuadElem | Poly
 
-    def __init__(self, descriptor: RingDescriptor, value: Union[QuadElem, Poly]):
+    def __init__(self, descriptor: RingDescriptor, value: QuadElem | Poly):
         descriptor.check(value)
         object.__setattr__(self, "descriptor", descriptor)
         object.__setattr__(self, "value", value)
@@ -356,10 +374,10 @@ class TransferFunction(Record):
     ``canonical`` form, so that equality on the components is equality in F."""
 
     descriptor: RingDescriptor
-    num: Union[QuadElem, Poly]
-    den: Union[QuadElem, Poly]
+    num: QuadElem | Poly
+    den: QuadElem | Poly
 
-    def __init__(self, descriptor: RingDescriptor, num: Union[QuadElem, Poly], den: Union[QuadElem, Poly]):
+    def __init__(self, descriptor: RingDescriptor, num: QuadElem | Poly, den: QuadElem | Poly):
         object.__setattr__(self, "descriptor", descriptor)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -413,7 +431,7 @@ class TransferFunction(Record):
             out = out * self
         return out
 
-    def display_pair(self) -> tuple[Union[QuadElem, Poly], Union[QuadElem, Poly]]:
+    def display_pair(self) -> tuple[QuadElem | Poly, QuadElem | Poly]:
         """num/den for printing; parsing the printed form recanonicalizes to the same value."""
         return self.descriptor.display_pair(self.num, self.den)
 
@@ -422,7 +440,7 @@ class TransferFunction(Record):
         return f"({format_element_value(self.descriptor, n)})/({format_element_value(self.descriptor, d)})"
 
 
-def contains(f: TransferFunction) -> Optional[RingElement]:
+def contains(f: TransferFunction) -> RingElement | None:
     """The element of A equal to f, or None."""
     q = f.descriptor.quotient(f.num, f.den)
     return None if q is None else RingElement(f.descriptor, q)
@@ -436,7 +454,7 @@ def divides(a: RingElement, b: RingElement) -> bool:
     return a.descriptor.quotient(b.value, a.value) is not None
 
 
-def causal_representation(p: TransferFunction) -> Optional[tuple[RingElement, RingElement]]:
+def causal_representation(p: TransferFunction) -> tuple[RingElement, RingElement] | None:
     """A representation p = n/d with n, d in A and d outside Z, or None."""
     pair = p.descriptor.causal_pair(p.num, p.den)
     if pair is None:
@@ -484,7 +502,7 @@ def format_poly(p: Poly) -> str:
     return " ".join(parts)
 
 
-def format_element_value(desc: RingDescriptor, v: Union[QuadElem, Poly]) -> str:
+def format_element_value(desc: RingDescriptor, v: QuadElem | Poly) -> str:
     return desc.format(v)
 
 
@@ -513,6 +531,7 @@ _QUAD_TERM = _re.compile(r"^(?:(?P<coeff>-?\d+(?:/\d+)?)\*)?i(?P<m>\d+)$")
 
 
 def parse_quad(text: str, m: int) -> QuadElem:
+    check_literal_digits(text)
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty quadratic element literal")
@@ -543,6 +562,7 @@ _POLY_TERM = _re.compile(r"^(?:(?P<coeff>\d+(?:/\d+)?)\*)?x(?:\^(?P<exp>\d+))?$"
 
 
 def parse_poly(text: str) -> Poly:
+    check_literal_digits(text)
     s = _re.sub(r" ?([+-]) ?", r"\1", " ".join(text.split()))  # no space next to a sign
     if not s:
         raise ValueError("empty polynomial literal")

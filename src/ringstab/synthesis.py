@@ -12,19 +12,20 @@ n2 = p, d2 = 1, y2 = 0, x2 = 1, where w >= 1 and a1, a2 satisfy
     (i)   a1*lam1^w + a2*lam2^w = 1,
     (ii)  all eight products a_k*lam_k^w*{n_k, d_k}*{x_k - r_k*n_k, y_k + r_k*d_k}
           lie in A,
-    (iii) the denominator of c is nonzero.
+    (iii) the denominator of c is nonzero,
 
-When all three hold, the four closed-loop entries are sums of the eight
-products, hence in A, so stability follows; it is still re-verified through
-the closed-loop check before any result is returned, and the result carries
-the verified closed-loop matrix.  The free parameters
-r1, r2 are restricted to A (a subset of each localized parameter ring), which
-reproduces the worked examples (r1 = r2 = 0) and keeps the knob verifiable.
+and c must be causal (see ``synthesize``).  When (i)-(iii) hold, the four
+closed-loop entries are sums of the eight products, hence in A, so
+stability follows; it is still re-verified through the closed-loop check
+before any result is returned, and the result carries the verified
+closed-loop matrix.  The free parameters r1, r2 are restricted to A (a
+subset of each localized parameter ring), which reproduces the worked
+examples (r1 = r2 = 0) and keeps the knob verifiable.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from collections.abc import Iterator
 
 from .closedloop import FeedbackMatrix, feedback_matrix
 from .coprime import QuadIdeal, factor_ideals
@@ -38,7 +39,7 @@ class SynthesisError(Exception):
     """Synthesis failed; ``condition`` names the first unsatisfied condition and
     ``certificate`` holds the non-invertible G = (num, den) of ``not_stabilizable``."""
 
-    def __init__(self, message: str, condition: Optional[str] = None, certificate: Optional[QuadIdeal] = None):
+    def __init__(self, message: str, condition: str | None = None, certificate: QuadIdeal | None = None):
         super().__init__(message)
         self.condition = condition
         self.certificate = certificate
@@ -73,8 +74,8 @@ class CoprimePairLocal(Record):
 
 
 class SynthesisConfig(Record):
-    r1: Optional[RingElement] = None
-    r2: Optional[RingElement] = None
+    r1: RingElement | None = None
+    r2: RingElement | None = None
 
 
 class SynthesisResult(Record):
@@ -84,19 +85,21 @@ class SynthesisResult(Record):
     plant: TransferFunction
     closed_loop: FeedbackMatrix
     omega: int
-    a1: Optional[RingElement]
-    a2: Optional[RingElement]
-    lam1: Optional[RingElement]
-    lam2: Optional[RingElement]
-    r1: Optional[RingElement]
-    r2: Optional[RingElement]
+    a1: RingElement | None
+    a2: RingElement | None
+    lam1: RingElement | None
+    lam2: RingElement | None
+    r1: RingElement | None
+    r2: RingElement | None
     condition_ii_products: tuple[RingElement, ...] = ()
-    witness: Optional[WitnessPair] = None
+    witness: WitnessPair | None = None
     trivial: bool = False
 
     def __post_init__(self):
         if not self.closed_loop.stable:
             raise SynthesisError("constructed controller failed the closed-loop check", condition="stability")
+        if not is_causal(self.controller):
+            raise SynthesisError("constructed controller is not causal", condition="causality")
 
 
 def condition_i_solutions(witness: WitnessPair, omega: int) -> Iterator[tuple[RingElement, RingElement]]:
@@ -159,7 +162,7 @@ def check_condition_ii(
     a1: RingElement,
     a2: RingElement,
     omega: int,
-) -> Optional[tuple[RingElement, ...]]:
+) -> tuple[RingElement, ...] | None:
     """The eight membership products, or None if any falls outside A.
 
     omega = 0 is accepted for diagnostic use (it drops the lam^omega factor
@@ -203,7 +206,13 @@ def synthesize(p: TransferFunction, cfg: SynthesisConfig = SynthesisConfig()) ->
     Plants already in A get the zero controller.  Otherwise, for each witness
     and omega = 1, 2, 3, both condition-(i) solutions are tried (integer
     shortcut first, then the binomial expansion) against conditions (ii) and
-    (iii).  Every controller is re-verified stable before returning.
+    (iii) and the causality of the controller.  Every controller is
+    re-verified stable and causal before returning.
+
+    With r1 = r2 = 0 the first witness closes the loop at omega = 1: (ii)
+    always holds there, the binomial route gives a2 = v, and the controller
+    denominator v*lam2 lies outside the prime ideal Z, since every witness
+    has v outside Z and every construction gives lam2 outside Z.
 
     Some omega >= 1 works iff some omega <= 3 works, so a failure is decided:
 
@@ -211,18 +220,27 @@ def synthesize(p: TransferFunction, cfg: SynthesisConfig = SynthesisConfig()) ->
       every term of the eight products is a ring polynomial in a, lam, mu, r
       except r1*a1*lam1^omega/p^2 = r1*a1*lam1^(omega-2)*mu1^2 and
       r2*a2*lam2^omega*p^2 = r2*a2*lam2^(omega-2)*mu2^2.
-    - By (i) the denominator of c is D = -r1/p + t*K with t = a2*lam2^omega and
-      K = r1/p + 1 - r2*p.  If K = 0, D does not depend on omega or the route;
-      otherwise (iii) fails exactly when t equals the fixed c0 = r1/(p*K).
+    - By (i) the controller is c = N/D with D = -r1/p + t*K, t = a2*lam2^omega,
+      K = r1/p + 1 - r2*p and D + p*N = 1.  So c is causal iff D lies outside
+      Z: if D lies in Z, p*c = (1 - D)/D is not causal while p is.  As 0 lies
+      in Z, a candidate fails (iii) or causality exactly when D lies in Z.
+    - If K = 0, D does not depend on omega or the route; otherwise (iii) fails
+      exactly when t equals the fixed c0 = r1/(p*K).  In the delay ring, D
+      lies in Z iff D(0) = 0.  When p(0) != 0, D(0) = -(r1/p)(0) + t(0)*K(0)
+      is affine in t(0), as D is in t, so the same dichotomy holds for K(0),
+      t(0) and c0(0).  When p(0) = 0, lam1 = mu1*p vanishes at 0, so
+      D(0) = t(0) = 1 at every omega >= 2.
     - Binomial route, s = v*lam2: t = sum over j >= omega of
       C(2*omega-1, j)*s^j*(1-s)^(2*omega-1-j), and t(2) - t(3) =
       3*s^2*(s-1)^2*(1-2s).  Failing at omega = 2 and 3 forces s in
-      {0, 1/2, 1}, where t = s = c0 at every omega.
-    - Integer shortcut (lam1, lam2 in Z): failing at omega = 2 puts c0 = t in
-      Z, so with the binomial route c0 is 0 or 1, i.e. a2 = 0 (then
-      lam1 = +-1) or a1 = 0 (then lam2 = +-1).  ext_gcd_int(a, +-1) gives
-      a1 = 0 for every a, and ext_gcd_int(+-1, b) gives a2 = 0 for b = 0 and
-      |b| >= 3, so t is the same at every omega >= 2.
+      {0, 1/2, 1}, where t = s = c0 at every omega; t(0) is the same
+      polynomial in s(0).
+    - Integer shortcut (quadratic rings, where Z = {0}, with lam1, lam2
+      integers): failing at omega = 2 puts c0 = t among the integers, so with
+      the binomial route c0 is 0 or 1, i.e. a2 = 0 (then lam1 = +-1) or
+      a1 = 0 (then lam2 = +-1).  ext_gcd_int(a, +-1) gives a1 = 0 for every
+      a, and ext_gcd_int(+-1, b) gives a2 = 0 for b = 0 and |b| >= 3, so t is
+      the same at every omega >= 2.
 
     The loop therefore returns what any longer scan returns first.
     """
@@ -245,11 +263,6 @@ def synthesize(p: TransferFunction, cfg: SynthesisConfig = SynthesisConfig()) ->
     tried_witness = False
     for witness in witness_candidates(p):
         tried_witness = True
-        if witness.v.is_zero() and r1.is_zero():
-            # A construction with lam1 a unit (1/p in A) and u = 1/lam1: both
-            # condition-(i) routes give a2 = 0, so the controller denominator
-            # a2*lam2^omega*(1 - r2*p) vanishes at every omega.
-            continue
         lam1, lam2 = witness.lam1, witness.lam2
         for omega in (1, 2, 3):
             for a1, a2 in condition_i_solutions(witness, omega):
@@ -261,6 +274,9 @@ def synthesize(p: TransferFunction, cfg: SynthesisConfig = SynthesisConfig()) ->
                     c = _controller_from_products(pair, products)
                 except SynthesisError:
                     last_failure = "iii"
+                    continue
+                if not is_causal(c):
+                    last_failure = "causality"
                     continue
                 return SynthesisResult(
                     controller=c, plant=p, closed_loop=_closed_loop(p, c), omega=omega,

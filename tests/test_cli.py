@@ -123,8 +123,9 @@ class TestSynthesize:
         code, synth = run_json(capsys, "synthesize", path)
         assert code == EXIT_OK
         assert synth["omega"] == 1
-        assert synth["witness"]["trace"]["kind"] == "reciprocal"
-        assert set(synth["witness"]["trace"]) == {"kind", "q"}
+        # the first witness, the one analyze reports, closes the loop
+        code, analyzed = run_json(capsys, "analyze", path)
+        assert code == EXIT_OK and synth["witness"] == analyzed["witness"]
         code, checked = run_json(capsys, "verify", path, synth["controller"]["display"])
         assert code == EXIT_OK and checked["stable"] is True
 
@@ -147,9 +148,24 @@ class TestSynthesize:
         }
 
     def test_reciprocal_trace(self, capsys, tmp_path):
+        # 1/p = 3+i5: ext_gcd_int(1, 14) gives v = 0, which moves to (1 - 14, 0 + 1)
         code, doc = run_json(capsys, "synthesize", plant_file(tmp_path, quad_doc(5, 3, -1, 14)))
         assert code == EXIT_OK
-        assert doc["witness"]["trace"] == {"kind": "reciprocal", "q": "3+i5"}
+        assert doc["witness"] == {
+            "lambda1": "1", "lambda2": "14", "u": "-13", "v": "1",
+            "trace": {
+                "kind": "quadratic_fast_path", "num_re": 3, "num_im": -1, "den": 14,
+                "num_norm": 14, "norm_den_gcd": 14, "norm_cofactor": 1,
+            },
+        }
+        assert doc["controller"]["display"] == "(-39-13*i5)/(14)"
+
+    def test_no_omega_gives_a_causal_controller(self, capsys):
+        # r2 = 1 with p(0) = 1: the denominator t*(1 - r2*p) vanishes at x = 0 at every omega
+        code, doc = run_json(capsys, "synthesize", fx("delay_plant.json"), "--r2", "1")
+        assert code == EXIT_SYNTHESIS
+        assert doc["failed_condition"] == "causality"
+        assert doc["error"] == "no omega satisfies condition (causality) for these r1, r2"
 
     def test_no_omega_is_decided(self, capsys, tmp_path):
         # r2 = 1/p with r1 = 0 zeroes the controller denominator at every omega
@@ -457,3 +473,83 @@ class TestReports:
             err = proc.stderr.read().decode()
             assert proc.wait() == EXIT_OK
         assert err == ""
+
+    def test_undecodable_plant_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "plant.json"
+        path.write_bytes(b'{"ring": "\xff"}')
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith(f"error: {path}: ") and "codec can't decode" in err and err.count("\n") == 1
+
+
+def _sevens(digits):
+    return "7" * digits
+
+
+def _delay_doc_with(coeff):
+    return {"ring": {"kind": "delay"},
+            "plant": {"num": {"coeffs": ["1", "0", "0", coeff]}, "den": {"coeffs": ["1", "0", "-1"]}}}
+
+
+class TestLargeCoefficients:
+    """Reports of plants with long coefficients print in full; longer literals are refused."""
+
+    @pytest.mark.parametrize("command, doc", [
+        ("synthesize", quad_doc(5, _sevens(1434), 1, 2)),
+        ("synthesize", _delay_doc_with(_sevens(1434))),
+        ("analyze", quad_doc(5, _sevens(2151), 1, 2)),
+        ("analyze", _delay_doc_with(_sevens(2151))),
+        ("coprime-factorization", _delay_doc_with(_sevens(2151))),
+        ("synthesize", quad_doc(5, _sevens(4300), 1, 2)),
+    ], ids=["synthesize-1434", "synthesize-delay-1434", "analyze-2151", "analyze-delay-2151",
+            "cf-delay-2151", "synthesize-4300"])
+    def test_full_report(self, capsys, tmp_path, command, doc):
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        code, out, err = run(capsys, *[command, plant_file(tmp_path, doc), "--json"])
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out, parse_int=str)["status"] == "verified"
+        if limit is not None:  # main restores the int/str digit limit it lifted
+            assert sys.get_int_max_str_digits() == limit
+
+    def test_printed_controller_verifies(self, capsys, tmp_path):
+        path = plant_file(tmp_path, quad_doc(5, _sevens(1434), 1, 2))
+        code, out, _ = run(capsys, "synthesize", path, "--json")
+        controller = json.loads(out, parse_int=str)["controller"]["display"]
+        code, out, _ = run(capsys, "verify", path, controller, "--json")
+        assert code == EXIT_OK and json.loads(out, parse_int=str)["stable"] is True
+
+    @pytest.mark.parametrize("argv, doc, message", [
+        (["analyze", "{plant}"], quad_doc(5, _sevens(4301), 1, 2),
+         "{plant}: plant.num: a number has more than 4300 digits"),
+        (["synthesize", "{plant}"], _delay_doc_with(_sevens(4301)),
+         "{plant}: plant.num: a number has more than 4300 digits"),
+        (["analyze", "{plant}"], quad_doc(5, 1, 1, "1/" + _sevens(4301)),
+         "{plant}: plant.den: a number has more than 4300 digits"),
+        (["synthesize", "{plant}", "--r1", _sevens(4301)], quad_doc(5, 1, 1, 2),
+         "--r1: a number has more than 4300 digits"),
+        (["verify", "{plant}", f"({_sevens(4301)})/(1)"], quad_doc(5, 1, 1, 2),
+         "controller literal: a number has more than 4300 digits"),
+        (["verify", "{plant}", f"(1 - x^{_sevens(4301)})/(1)"], DELAY_DOC,
+         "controller literal: a number has more than 4300 digits"),
+    ], ids=["quadratic-string", "delay-string", "denominator", "r1-literal", "verify-literal",
+            "verify-exponent"])
+    def test_longer_literal_exits_2(self, capsys, tmp_path, argv, doc, message):
+        path = plant_file(tmp_path, doc)
+        code, out, err = run(capsys, *[path if a == "{plant}" else a for a in argv])
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"error: {message.replace('{plant}', path)}\n"
+
+    @pytest.mark.parametrize("digits", [4301, 1_000_000])
+    def test_longer_json_integer_exits_2(self, capsys, tmp_path, digits):
+        path = tmp_path / "plant.json"
+        path.write_text('{"ring": {"kind": "quadratic", "m": 5}, '
+                        f'"plant": {{"num": {{"re": {_sevens(digits)}, "im": 1}}, "den": {{"re": 2}}}}}}')
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"error: {path}: a number has more than 4300 digits\n"
+
+    def test_digit_groups_count_as_in_python(self):
+        # an underscore separates digit groups and is not a digit, as for int()
+        rings.check_literal_digits("1_" * 4299 + "1")
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            rings.check_literal_digits("1_" * 4300 + "1")

@@ -9,13 +9,11 @@ from test_coprime import _brute_force_cf_search
 from ringstab.coprime import CFKind, cf_exists, delay_bezout
 from ringstab.elemfactor import (
     IdealTrace,
-    ReciprocalTrace,
     Which,
     WitnessPair,
     construct_witnesses_delay,
     construct_witnesses_quadratic,
     lambda_member,
-    reciprocal_witness,
     search_witnesses_quadratic,
     witness_candidates,
 )
@@ -296,26 +294,59 @@ class TestDelayBezout:
 
 
 class TestReciprocalWitness:
+    """Plants whose inverse lies in A: their construction's Bezout cofactor v falls in Z."""
+
     def test_all_pole_plant(self):
         p = TransferFunction.make(D, Poly.one(), Poly.of(1, 0, 1))
-        w = reciprocal_witness(p)
-        assert isinstance(w.trace, ReciprocalTrace)
-        assert (w.lam1.value, w.lam2.value) == (Poly.of(0, 0, -1), Poly.of(1, 0, 1))
-        assert list(witness_candidates(p))[1] == w  # after the unit-lam1 construction
+        [w] = witness_candidates(p)
+        # delay_bezout gives (u, v) = (1, 0) for (1, 1 + x^2); v moves to v + lam1
+        assert (w.lam1.value, w.lam2.value) == (Poly.one(), Poly.of(1, 0, 1))
+        assert (w.u.value, w.v.value) == (Poly.of(0, 0, -1), Poly.one())
+        assert w.trace.shift == Poly.of(-1)
+        assert w.u.value == w.trace.cof_num + w.trace.shift * w.lam2.value
+        assert w.v.value == w.trace.cof_den - w.trace.shift * w.lam1.value
 
     def test_inverse_outside_ring(self):
-        assert reciprocal_witness(P_DELAY) is None
-        assert reciprocal_witness(P_Z5) is None
+        # v already lies outside Z: the pair is the one delay_bezout and ext_gcd_int give
+        assert contains(P_DELAY.inverse()) is None and contains(P_Z5.inverse()) is None
+        w = construct_witnesses_delay(P_DELAY)
+        assert w.trace.shift.coeff(0) == 0
+        bezout = delay_bezout([w.lam1.value, w.lam2.value])
+        assert (w.u.value, w.v.value) == bezout.cofactors
+        assert construct_witnesses_quadratic(P_Z5).v == q5(-1)
+
+
+class TestVOutsideZ:
+    """A construction whose Bezout cofactor v lies in Z moves it out."""
+
+    def test_delay_pair_moves_without_a_unit_lambda1(self):
+        # 1/p = (1 + x^2 + x^3)/(1 + x^2) is outside A, yet delay_bezout's v lies in Z
+        p = TransferFunction.make(D, Poly.of(1, 0, 1), Poly.of(1, 0, 1, 1))
+        w = construct_witnesses_delay(p)
+        bezout = delay_bezout([w.lam1.value, w.lam2.value])
+        assert bezout.cofactors[1].coeff(0) == 0
+        assert w.v.value == bezout.cofactors[1] + w.lam1.value
+        assert w.u.value == bezout.cofactors[0] - w.lam2.value
+        assert w.v.value.coeff(0) != 0
 
 
 class TestWitnessPairValidation:
     def test_bad_bezout_rejected(self):
+        trace = construct_witnesses_quadratic(P_Z5).trace
         with pytest.raises(ValueError):
-            WitnessPair(P_Z5, q5(3), q5(2), q5(1), q5(1), ReciprocalTrace(q5(1)))
+            WitnessPair(P_Z5, q5(3), q5(2), q5(1), q5(1), trace)
 
     def test_bad_membership_rejected(self):
+        trace = construct_witnesses_quadratic(P_Z5).trace
         with pytest.raises(ValueError):
-            WitnessPair(P_Z5, q5(1), q5(0), q5(1), q5(1), ReciprocalTrace(q5(1)))
+            WitnessPair(P_Z5, q5(1), q5(0), q5(1), q5(1), trace)
+
+    def test_v_in_z_rejected(self):
+        # 1*1 + 0*2 = 1 for p = 1/2, but v = 0 lies in Z
+        p = TransferFunction.make(Z5, QuadElem.of(1, 0, 5), QuadElem.of(2, 0, 5))
+        trace = construct_witnesses_quadratic(p).trace
+        with pytest.raises(ValueError, match="causality set"):
+            WitnessPair(p, q5(1), q5(2), q5(1), q5(0), trace)
 
     def test_instance_members_in_their_factors(self):
         # for a verified instance, a sits in the first factor set and b in the

@@ -1,0 +1,156 @@
+"""Small-world conformance: every small plant through the CLI, its reports cross-checked.
+
+The box holds each distinct plant once:
+
+- every quadratic plant (a0 + a1*sqrt(m)i)/(b0 + b1*sqrt(m)i) with
+  coefficients in {-1, 0, 1}, for m in {1, 2, 3, 5, 6, 7, 8, 10, 11, 12, 27}
+  (283 plants);
+- every causal delay plant num/den of degree <= 2 with coefficients in
+  {-1, 0, 1} (57 plants), and the 16 causal delay plants of degree 3 whose
+  construction's Bezout cofactor v lies in the causality set Z.
+
+Each plant file goes through ``main([..., "--json"])``, and the reports must
+agree: synthesize succeeds exactly when analyze says stabilizable; the printed
+controller parses back to the same value, is causal and passes verify; and a
+coprime-factorization ``exists`` certificate has x*n + y*d = 1 and n/d = p.
+
+``RINGSTAB_SMALL_WORLD_DEGREE=3`` widens the delay box to degree 3 (599
+causal plants).
+"""
+
+import itertools
+import json
+import os
+
+import pytest
+
+from ringstab.cli import EXIT_OK, EXIT_PARSE, EXIT_SYNTHESIS, main
+from ringstab.exact import Poly, QuadElem
+from ringstab.rings import (
+    RingElement,
+    TransferFunction,
+    delay,
+    is_causal,
+    parse_ring_element,
+    parse_transfer_function,
+    quadratic,
+    ring_from_json,
+)
+
+QUADRATIC_M = (1, 2, 3, 5, 6, 7, 8, 10, 11, 12, 27)
+DELAY_DEGREE = int(os.environ.get("RINGSTAB_SMALL_WORLD_DEGREE", "2"))
+UNIT = (-1, 0, 1)
+
+# Before v was moved out of Z, each of these got a non-causal controller,
+# such as the three-step predictor (-1 + x^2 - x^3 - x^4)/(x^3) for the first.
+V_IN_Z_PLANTS = [
+    "(1 + x^2)/(1 + x^2 + x^3)", "(1 + x^2)/(1 + x^2 - x^3)",
+    "(-1 - x^2)/(1 + x^2 - x^3)", "(-1 - x^2)/(1 + x^2 + x^3)",
+    "(1 + x^3)/(1 + x^2 + x^3)", "(1 + x^3)/(1 - x^2 + x^3)",
+    "(-1 - x^3)/(1 - x^2 + x^3)", "(-1 - x^3)/(1 + x^2 + x^3)",
+    "(1 - x^3)/(1 + x^2 - x^3)", "(1 - x^3)/(1 - x^2 - x^3)",
+    "(-1 + x^3)/(1 - x^2 - x^3)", "(-1 + x^3)/(1 + x^2 - x^3)",
+    "(1 - x^2)/(1 - x^2 + x^3)", "(1 - x^2)/(1 - x^2 - x^3)",
+    "(-1 + x^2)/(1 - x^2 - x^3)", "(-1 + x^2)/(1 - x^2 + x^3)",
+]
+
+
+def _quadratic_box() -> dict:
+    box = {}
+    for m in QUADRATIC_M:
+        ring = quadratic(m)
+        for a0, a1, b0, b1 in itertools.product(UNIT, repeat=4):
+            if (b0, b1) == (0, 0):
+                continue
+            plant = TransferFunction.make(ring, QuadElem.of(a0, a1, m), QuadElem.of(b0, b1, m))
+            box.setdefault(plant, {
+                "ring": {"kind": "quadratic", "m": m},
+                "plant": {"num": {"re": a0, "im": a1}, "den": {"re": b0, "im": b1}},
+            })
+    return box
+
+
+def _delay_doc(num: Poly, den: Poly) -> dict:
+    return {"ring": {"kind": "delay"},
+            "plant": {"num": {"coeffs": [str(c) for c in num.coeffs]}, "den": {"coeffs": [str(c) for c in den.coeffs]}}}
+
+
+def _delay_box(degree: int) -> dict:
+    box = {}
+    polys = [Poly.of(*cs) for cs in itertools.product(UNIT, repeat=degree + 1)]
+    for num, den in itertools.product(polys, repeat=2):
+        if den.is_zero():
+            continue
+        plant = TransferFunction.make(delay(), num, den)
+        if is_causal(plant):
+            box.setdefault(plant, _delay_doc(num, den))
+    return box
+
+
+QUADRATIC_BOX = _quadratic_box()
+DELAY_BOX = _delay_box(DELAY_DEGREE)
+
+
+def _cases() -> list:
+    cases = [pytest.param(doc, id=f"m{doc['ring']['m']}:{plant}") for plant, doc in QUADRATIC_BOX.items()]
+    cases += [pytest.param(doc, id=str(plant)) for plant, doc in DELAY_BOX.items()]
+    for text in V_IN_Z_PLANTS:
+        plant = parse_transfer_function(delay(), text)
+        cases.append(pytest.param(_delay_doc(plant.num, plant.den), id=f"v-in-Z:{text}"))
+    return cases
+
+
+def test_box_sizes():
+    assert len(QUADRATIC_BOX) == 283
+    assert len(DELAY_BOX) == {2: 57, 3: 599}.get(DELAY_DEGREE, len(DELAY_BOX))
+
+
+def _report(capsys, *argv):
+    code = main([*argv, "--json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def _tf(desc, obj) -> TransferFunction:
+    return TransferFunction.make(desc, desc.value_from_json(obj["num"]), desc.value_from_json(obj["den"]))
+
+
+@pytest.fixture(scope="module")
+def plant_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("small_world")
+
+
+@pytest.mark.parametrize("doc", _cases())
+def test_reports_agree(doc, plant_dir, capsys):
+    path = plant_dir / "plant.json"
+    path.write_text(json.dumps(doc))
+    path = str(path)
+    desc = ring_from_json(doc["ring"])
+
+    code, analyzed = _report(capsys, "analyze", path)
+    assert code == EXIT_OK
+    plant = _tf(desc, analyzed["plant"])
+    stabilizable = analyzed["stabilizable"]
+    assert stabilizable in (True, False)  # every plant of the box is causal
+
+    code, synthesized = _report(capsys, "synthesize", path)
+    if stabilizable:
+        assert code == EXIT_OK
+        controller = _tf(desc, synthesized["controller"])
+        display = synthesized["controller"]["display"]
+        assert parse_transfer_function(desc, display) == controller
+        assert is_causal(controller)
+        code, checked = _report(capsys, "verify", path, display)
+        assert code == EXIT_OK and checked["stable"] is True
+    else:
+        assert code == EXIT_SYNTHESIS and synthesized["failed_condition"] == "not_stabilizable"
+
+    if plant.is_zero():  # coprime-factorization refuses the zero plant
+        assert main(["coprime-factorization", path]) == EXIT_PARSE
+        return
+    code, factored = _report(capsys, "coprime-factorization", path)
+    cf = factored["cf"]
+    if cf["verdict"] == "exists":
+        assert code == EXIT_OK and stabilizable
+        n, d, x, y = (parse_ring_element(desc, cf[key]) for key in ("n", "d", "x", "y"))
+        assert x * n + y * d == RingElement.one(desc)
+        assert TransferFunction.make(desc, n.value, d.value) == plant

@@ -6,10 +6,10 @@ from fractions import Fraction as F
 import pytest
 
 from ringstab import synthesis
-from ringstab.closedloop import FeedbackMatrix, is_stable
+from ringstab.closedloop import FeedbackMatrix, feedback_matrix, is_stable
 from ringstab.elemfactor import (
     IdealTrace,
-    ReciprocalTrace,
+    QuadraticTrace,
     WitnessPair,
     construct_witnesses_delay,
     construct_witnesses_quadratic,
@@ -17,11 +17,22 @@ from ringstab.elemfactor import (
     witness_candidates,
 )
 from ringstab.exact import Poly, QuadElem, ext_gcd_int
-from ringstab.rings import QuadraticRing, RingElement, TransferFunction, contains, delay, quadratic
+from ringstab.rings import (
+    QuadraticRing,
+    RingElement,
+    TransferFunction,
+    contains,
+    delay,
+    in_causality_set,
+    is_causal,
+    parse_transfer_function,
+    quadratic,
+)
 from ringstab.synthesis import (
     CoprimePairLocal,
     SynthesisConfig,
     SynthesisError,
+    SynthesisResult,
     check_condition_ii,
     condition_i_solutions,
     synthesize,
@@ -162,12 +173,14 @@ class TestSynthesize:
         assert info.value.certificate.basis_rows() == [(6, 0), (3, 1)]
 
     def test_unit_inverse_plant(self):
-        # 1/p in A makes the fast-path witness degenerate (a2 = 0); the
-        # reciprocal witness takes over
+        # 1/p in A: the fast path's cofactor v = 0 lies in Z, so the pair moves
+        # to (u - lam2, v + lam1) = (-1, 1) and the fast-path witness closes the loop
         p = TransferFunction.make(Z5, QuadElem.of(1, 0, 5), QuadElem.of(2, 0, 5))
         result = synthesize(p)
         assert is_stable(p, result.controller)
-        assert isinstance(result.witness.trace, ReciprocalTrace)
+        assert isinstance(result.witness.trace, QuadraticTrace)
+        assert (result.witness.u, result.witness.v) == (q5(-1), q5(1))
+        assert (result.omega, result.a1, result.a2) == (1, q5(-1), q5(1))
 
     @pytest.mark.parametrize("plant", [
         TransferFunction.make(D, Poly.one(), Poly.of(1, 0, 1)),
@@ -176,10 +189,13 @@ class TestSynthesize:
         TransferFunction.make(Z5, QuadElem.of(3, -1, 5), QuadElem.of(14, 0, 5)),
     ], ids=["1/(1+x^2)", "3/(2-3x^2+5x^3)", "1/2", "(3-i5)/14"])
     def test_reciprocal_plants_close_at_omega_one(self, plant):
+        # 1/p in A; the first witness, with v outside Z, closes the loop
+        assert contains(plant.inverse()) is not None
         result = synthesize(plant)
         assert result.omega == 1
-        assert isinstance(result.witness.trace, ReciprocalTrace)
-        assert result.witness.lam2.to_tf() == plant.inverse()
+        assert result.witness == next(witness_candidates(plant))
+        assert not in_causality_set(result.witness.v)
+        assert is_causal(result.controller)
         assert is_stable(plant, result.controller)
 
     @pytest.mark.parametrize("plant", [P_Z5, TransferFunction.make(Z5, QuadElem.of(2, 0, 5), QuadElem.of(1, 0, 5))],
@@ -201,6 +217,16 @@ class TestSynthesize:
         p = TransferFunction.make(D, Poly.one(), Poly.x_pow(2))
         with pytest.raises(SynthesisError) as err:
             synthesize(p)
+        assert err.value.condition == "causality"
+
+    def test_noncausal_controller_refused(self):
+        # the stable three-step predictor this plant once got
+        p = parse_transfer_function(D, "(1 + x^2)/(1 + x^2 + x^3)")
+        c = parse_transfer_function(D, "(-1 + x^2 - x^3 - x^4)/(x^3)")
+        result = synthesize(p)
+        assert is_causal(result.controller) and result.omega == 1
+        with pytest.raises(SynthesisError) as err:
+            SynthesisResult(c, p, feedback_matrix(p, c), 1, *[None] * 6)
         assert err.value.condition == "causality"
 
     def test_every_result_verified(self):
@@ -259,8 +285,6 @@ def _scan_to_32(p, r1, r2):
     last_failure, tried = "witness", False
     for w in witness_candidates(p):
         tried = True
-        if w.v.is_zero() and r1.is_zero():
-            continue
         for omega in range(1, 33):
             for a1, a2 in condition_i_solutions(w, omega):
                 products = check_condition_ii(pair, w.lam1, w.lam2, a1, a2, omega)
@@ -271,6 +295,9 @@ def _scan_to_32(p, r1, r2):
                     c = synthesis._controller_from_products(pair, products)
                 except SynthesisError:
                     last_failure = "iii"
+                    continue
+                if not is_causal(c):
+                    last_failure = "causality"
                     continue
                 return omega, a1, a2, c, w
     return last_failure if tried else "not_stabilizable"
