@@ -15,7 +15,6 @@ from .coprime import (
     CertKind,
     CoprimeCertificate,
     DelayBezout,
-    FactorIdeals,
     FamilyParams,
     NonexistenceInstance,
     NonexistenceReport,
@@ -24,7 +23,6 @@ from .coprime import (
     are_coprime,
     cf_exists,
     delay_bezout,
-    factor_ideals,
     generate_family_instance,
     ideal_from_gens,
     ideal_is_principal,
@@ -32,13 +30,16 @@ from .coprime import (
     verify_nonexistence_instance,
 )
 from .elemfactor import (
+    DelayFactorIdeals,
     DelayTrace,
     IdealTrace,
+    QuadraticFactorIdeals,
     QuadraticTrace,
     Which,
     WitnessPair,
     construct_witnesses_delay,
     construct_witnesses_quadratic,
+    factor_ideals,
     lambda_member,
     search_witnesses_quadratic,
     witness_candidates,

@@ -18,14 +18,12 @@ import sys
 
 from . import coprime as cp
 from .closedloop import feedback_matrix
-from .elemfactor import WitnessPair, witness_candidates
+from .elemfactor import WitnessPair, factor_ideals
 from .exact import Poly
 from .rings import (
-    DelayRing,
     RingDescriptor,
     RingElement,
     TransferFunction,
-    causal_representation,
     check_literal_digits,
     contains,
     format_poly,
@@ -257,17 +255,14 @@ def cmd_analyze(args, rep: Report) -> None:
     if in_ring is not None:
         rep.put("stabilizable", True, "stabilizable: True (plant in A; zero controller works)")
         return
-    if isinstance(desc, DelayRing):
-        n, d = causal_representation(p)
-        w = format_poly(desc.causal_factor(p.num, p.den))
-        rep.put(
-            "representation",
-            {"n": str(n), "d": str(d), "gcd": w},
-            f"A-representation: n = {n}, d = {d}, gcd = {w}",
-        )
-    witness = next(witness_candidates(p), None)
-    if witness is None:  # only a quadratic plant with a non-invertible G gets no candidate
-        ideal = cp.factor_ideals(p).ideal
+    ideals = factor_ideals(p)
+    if ideals.representation is not None:
+        n, d, w = ideals.representation
+        rep.put("representation", {"n": str(n), "d": str(d), "gcd": format_poly(w)},
+                f"A-representation: n = {n}, d = {d}, gcd = {format_poly(w)}")
+    witness = next(ideals.witnesses(), None)
+    if witness is None:  # a plant that is not comaximal gets no witness
+        ideal = ideals.certificate
         rep.put("stabilizable", False, f"stabilizable: False (G = (num, den) = {ideal} is not invertible)")
         rep.put("certificate_ideal", _ideal_json(ideal))
         return

@@ -10,7 +10,8 @@ G is principal.  Bezout witnesses come from expressing 1 over a lattice.
 
 The delay ring A = Q[x^2, x^3] is decided in Q[x]: elements of A are
 comaximal in A iff their gcd over Q[x] is 1 (``delay_bezout`` supplies the
-cofactors in A), and the nonconstant gcd certifies NotCoprime.
+cofactors in A), and the nonconstant gcd certifies NotCoprime.  The
+factor-ideal classes of ``elemfactor`` make each ring's decisions.
 """
 
 from __future__ import annotations
@@ -19,17 +20,9 @@ import math
 from collections.abc import Sequence
 from enum import Enum
 
-from .exact import ZERO, Poly, QuadElem, ext_gcd_int, ext_gcd_poly, is_square, poly_divides, poly_gcd
+from .exact import ZERO, Poly, QuadElem, ext_gcd_int, ext_gcd_poly, is_square, poly_divides
 from .record import Record
-from .rings import (
-    DelayRing,
-    QuadraticRing,
-    RingDescriptor,
-    RingElement,
-    TransferFunction,
-    is_causal,
-    quadratic,
-)
+from .rings import RingDescriptor, RingElement, TransferFunction, is_causal, quadratic
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +76,7 @@ def _hnf2(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     return top, bottom
 
 
-def _express_one(rows: Sequence[Sequence[int]]) -> list[int] | None:
+def express_one(rows: Sequence[Sequence[int]]) -> list[int] | None:
     """Integer coefficients c with sum(c_i * rows_i) = (1, 0), or None.
 
     (1, 0) = s1*(a, 0) + s2*(b, c) forces s2 = 0 and a = s1 = 1, so the
@@ -114,7 +107,7 @@ def _steps_within(q: int, step: int, radius: int) -> tuple[int, int]:
     return -((radius + q) // step), (radius - q) // step
 
 
-def _least_in_coset(rows: Sequence[Sequence[int]], point: Sequence[int]) -> tuple[int, int]:
+def least_in_coset(rows: Sequence[Sequence[int]], point: Sequence[int]) -> tuple[int, int]:
     """The point of point + lattice(rows) least in the order (max(|x|, |y|), x, y).
 
     In integers only: the Babai point c of point over a Lagrange-reduced basis
@@ -209,7 +202,7 @@ class QuadIdeal(Record):
         return f"[{self.a}, {second}] (norm {self.norm})"
 
 
-def _gen_rows(m: int, gens: Sequence[QuadElem]) -> list[tuple[int, int]]:
+def gen_rows(m: int, gens: Sequence[QuadElem]) -> list[tuple[int, int]]:
     """Rows g and w*g of every nonzero integral generator g: they span the ideal."""
     rows = []
     for g in gens:
@@ -223,7 +216,7 @@ def _gen_rows(m: int, gens: Sequence[QuadElem]) -> list[tuple[int, int]]:
 
 def ideal_from_gens(m: int, gens: Sequence[QuadElem]) -> QuadIdeal:
     """Ideal generated by the given elements (at least one nonzero)."""
-    rows = _gen_rows(m, gens)
+    rows = gen_rows(m, gens)
     if not rows:
         raise ValueError("zero ideal")
     (a, _), (b, c) = _hnf2(rows)
@@ -258,43 +251,6 @@ def ideal_is_principal(ideal: QuadIdeal) -> QuadElem | None:
             if principal_ideal(ideal.m, z) == ideal:
                 return z
     return None
-
-
-class FactorIdeals(Record):
-    """G = (num, beta) of a quadratic plant num/beta and, when G is invertible,
-    the factor ideals Lam1 = (num)*conj(G)/N(G) = {lam : lam*beta/num in A} and
-    Lam2 = (beta)*conj(G)/N(G) = {lam : lam*num/beta in A}, which sum to A.
-    A non-invertible G (both None) means the plant is not stabilizable."""
-
-    ideal: QuadIdeal
-    lam1: QuadIdeal | None = None
-    lam2: QuadIdeal | None = None
-
-    @property
-    def invertible(self) -> bool:
-        return self.lam1 is not None
-
-    def least_witness(self) -> tuple[int, int]:
-        """(re, im) of the least lam in the order (max(|re|, |im|), re, im) with lam
-        in Lam1 and 1 - lam in Lam2: the coset lam0 + Lam1*Lam2 of any such lam0."""
-        rows1 = self.lam1.basis_rows()
-        coeffs = _express_one(rows1 + self.lam2.basis_rows())
-        if coeffs is None:
-            raise ValueError("factor ideals of an invertible G must sum to A")
-        start = (coeffs[0] * rows1[0][0] + coeffs[1] * rows1[1][0], coeffs[1] * rows1[1][1])
-        return _least_in_coset(self.lam1.mul(self.lam2).basis_rows(), start)
-
-
-def factor_ideals(p: TransferFunction) -> FactorIdeals:
-    """G = (num, beta) of a nonzero quadratic plant, tested for invertibility."""
-    m = p.descriptor.m
-    big_g = ideal_from_gens(m, [p.num, p.den])
-    norm, conj = big_g.norm, big_g.conj()
-    if big_g.mul(conj) != QuadIdeal(m, norm, 0, norm):
-        return FactorIdeals(big_g)
-    lam1 = principal_ideal(m, p.num).mul(conj).divide_by_int(norm)
-    lam2 = principal_ideal(m, p.den).mul(conj).divide_by_int(norm)
-    return FactorIdeals(big_g, lam1, lam2)
 
 
 # ---------------------------------------------------------------------------
@@ -351,32 +307,14 @@ def delay_bezout(gens: Sequence[Poly]) -> DelayBezout | None:
 
 
 def bezout_combination(desc: RingDescriptor, gens: Sequence[RingElement]) -> list[RingElement] | None:
-    """Coefficients x_i in A with sum x_i * g_i = 1, or None if there are none.
+    """Coefficients x_i in A with sum x_i * g_i = 1, or None if there are none;
+    exact and complete for both rings (``bezout`` of the factor-ideal classes)."""
+    return _factor_ideal_class(desc).bezout(desc, gens)
 
-    Exact and complete for both rings: lattice membership of 1 for quadratic
-    rings, a gcd over Q[x] for the delay ring.
-    """
-    if isinstance(desc, DelayRing):
-        bezout = delay_bezout([g.value for g in gens])
-        if bezout is None:
-            return None
-        return [RingElement(desc, c) for c in bezout.cofactors]
-    rows = _gen_rows(desc.m, [g.value for g in gens])
-    index = [i for i, g in enumerate(gens) if not g.is_zero()]  # generator of each row pair
-    if not rows:
-        return None
-    coeffs = _express_one(rows)
-    if coeffs is None:
-        return None
-    out = [RingElement.quad(desc, 0) for _ in gens]
-    for pos, i in enumerate(index):
-        out[i] = RingElement.quad(desc, coeffs[2 * pos], coeffs[2 * pos + 1])
-    total = RingElement.zero(desc)
-    for x, g in zip(out, gens):
-        total = total + x * g
-    if total != RingElement.one(desc):
-        raise ValueError("lattice Bezout combination does not sum to 1")
-    return out
+
+def _factor_ideal_class(desc: RingDescriptor):
+    from .elemfactor import factor_ideal_class  # elemfactor imports this module
+    return factor_ideal_class(desc)
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +356,8 @@ class CoprimeCertificate(Record):
 
 
 def are_coprime(a: RingElement, b: RingElement) -> CoprimeCertificate:
-    """Decide coprimeness of (a, b) over A: Witness or NotCoprime.
-
-    Quadratic: the HNF of the ideal (a, b) gives an extracted Bezout witness
-    or the proper ideal as the NotCoprime certificate.  Delay: Bezout
-    cofactors in A, or the gcd over Q[x] (constant term 1 when it has one,
-    else monic) as the NotCoprime certificate.
-    """
+    """Decide coprimeness of (a, b) over A: a Bezout witness, or NotCoprime with
+    the certificate of the ring's factor-ideal class (``not_coprime``)."""
     if a.descriptor != b.descriptor:
         raise ValueError("mixed ring descriptors")
     if a.is_zero() and b.is_zero():
@@ -433,12 +366,7 @@ def are_coprime(a: RingElement, b: RingElement) -> CoprimeCertificate:
     combo = bezout_combination(desc, [a, b])
     if combo is not None:
         return CoprimeCertificate(CertKind.WITNESS, a, b, x=combo[0], y=combo[1])
-    if isinstance(desc, QuadraticRing):
-        return CoprimeCertificate(CertKind.NOT_COPRIME, a, b, ideal=ideal_from_gens(desc.m, [a.value, b.value]))
-    common = poly_gcd(a.value, b.value)
-    if common.coeff(0) != 0:
-        common = common.scale(1 / common.coeff(0))
-    return CoprimeCertificate(CertKind.NOT_COPRIME, a, b, common_factor=common)
+    return _factor_ideal_class(desc).not_coprime(a, b)
 
 
 class CFKind(Enum):
@@ -479,43 +407,11 @@ NOT_INVERTIBLE_REASON = "G = (num, den) is not invertible, so p is not stabiliza
 
 
 def cf_exists(p: TransferFunction) -> CFVerdict:
-    """Decide whether p = n'/d' with n', d' in A and x*n' + y*d' = 1.
-
-    Quadratic plants, in every order: a generator z of G = (num, beta) gives
-    n' = num/z, d' = beta/z, which generate G/z = A; an invertible
-    non-principal G gives NotExists, certified by the non-principal quotient
-    ideal Lam2 = (beta)*G^-1; a non-invertible G gives Unknown.  Delay plants
-    answer Exists exactly when the reduced num and den both lie in A.
-    """
+    """Decide whether p = n'/d' with n', d' in A and x*n' + y*d' = 1, i.e. whether
+    L2 is principal, by the factor-ideal object of p's ring (``principal``)."""
     if p.is_zero():
         raise ValueError("cf_exists is undefined for the zero plant")
-    desc = p.descriptor
-    if isinstance(desc, QuadraticRing):
-        ideals = factor_ideals(p)
-        if not ideals.invertible:
-            return CFVerdict(CFKind.UNKNOWN, p, reason=NOT_INVERTIBLE_REASON)
-        z = ideal_is_principal(ideals.ideal)
-        if z is None:
-            return CFVerdict(CFKind.NOT_EXISTS, p, ideal=ideals.lam2)
-        # d' is unique up to a unit (+-1, and +-w when m = 1): take the one
-        # ideal_is_principal meets first, re > 0 (or re = 0 < im), least |im|, im >= 0.
-        units = [(1, 0), (-1, 0)] + ([(0, 1), (0, -1)] if desc.m == 1 else [])
-        d = min((p.den / z * QuadElem.of(*u, desc.m) for u in units),
-                key=lambda e: (e.re < 0 or (e.re == 0 and e.im < 0), abs(e.im), e.im < 0))
-        n_el, d_el = RingElement(desc, p.num * d / p.den), RingElement(desc, d)
-    else:
-        # Any polynomial representation of p is (w*num, w*den) over the
-        # reduced pair; a Bezout identity forces w constant, so only the
-        # canonical pair (up to scalars) can witness existence, and it does
-        # whenever it lies in A, being coprime over Q[x].
-        if p.num.coeff(1) != 0 or p.den.coeff(1) != 0:
-            return CFVerdict(CFKind.UNKNOWN, p, reason=OUTSIDE_A_REASON)
-        n_el = RingElement(desc, p.num)
-        d_el = RingElement(desc, p.den)
-    cert = are_coprime(n_el, d_el)
-    if not cert.is_witness:
-        raise ValueError("coprime-factorization candidates must be comaximal in A")
-    return CFVerdict(CFKind.EXISTS, p, n=n_el, d=d_el, x=cert.x, y=cert.y)
+    return _factor_ideal_class(p.descriptor)(p).principal()
 
 
 # ---------------------------------------------------------------------------
@@ -609,19 +505,7 @@ def verify_nonexistence_instance(inst: NonexistenceInstance) -> NonexistenceRepo
         if cond_i and not a.is_zero():
             if desc.quotient(lambda1.value * a_prime, a) is None or desc.quotient(lambda2.value * a, a_prime) is None:
                 raise ValueError("split witness fails factor membership")
-    return NonexistenceReport(
-        instance=inst,
-        plant=plant,
-        cond_i=cond_i,
-        cond_ii_causal=causal,
-        cf_verdict=cf,
-        cond_ii=cond_ii,
-        pair_certificate=pair_cert,
-        cond_iii=cond_iii,
-        cond_iii_via=via,
-        lambda1=lambda1,
-        lambda2=lambda2,
-    )
+    return NonexistenceReport(inst, plant, cond_i, causal, cf, cond_ii, pair_cert, cond_iii, via, lambda1, lambda2)
 
 
 class FamilyParams(Record):

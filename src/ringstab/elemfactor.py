@@ -14,7 +14,7 @@ re-verified on construction.  Construction strategies:
   not be coprime (e.g. (7+sqrt(5)i)/6 gives the pair (9, 6)), in which case
   the ideal witness below takes over.
 * quadratic ideal witness: when G = (num, den) is invertible, L1 and L2 are
-  the ideals (num)*G^-1 and (den)*G^-1 (``coprime.factor_ideals``), and the
+  the ideals (num)*G^-1 and (den)*G^-1 (``QuadraticFactorIdeals``), and the
   least lam in L1 with 1 - lam in L2 is the least point of one coset of
   L1*L2.  A non-invertible G means the plant is not stabilizable.
 * delay construction: the gcd of the canonical in-ring representation
@@ -29,6 +29,10 @@ has v = 1; the other two constructions replace a Bezout pair with v in Z by
 1 - v*lam2 lies outside the ideal Z, so lam1 and v + lam1 do too.  With
 r1 = r2 = 0, ``synthesize`` closes the loop with the first witness at
 omega = 1, where the controller denominator is v*lam2.
+
+``factor_ideals(p)`` is one object per ring (``factor_ideal_class`` is the
+one ring test in ringstab): it decides L1 + L2 = A, lists the witnesses and
+decides whether L2 is principal, i.e. whether p has a coprime factorization.
 """
 
 from __future__ import annotations
@@ -36,21 +40,14 @@ from __future__ import annotations
 from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from itertools import count
 from math import gcd
 
-from .coprime import QuadIdeal, delay_bezout, factor_ideals
-from .exact import ZERO, Poly, ext_gcd_int
+from . import coprime as cp
+from .exact import ZERO, Poly, QuadElem, ext_gcd_int, poly_gcd
 from .record import Record
-from .rings import DelayRing, QuadraticRing, RingElement, TransferFunction, contains, in_causality_set
-
-
-def _multiplier_constants():
-    # 2/k^2 for k = 3, 4, 5, ...; only finitely many constants collide with a
-    # root of the reduced pair, so the scan terminates.
-    k = 3
-    while True:
-        yield Fraction(2, k * k)
-        k += 1
+from .rings import DelayRing, RingDescriptor, RingElement, TransferFunction, contains, in_causality_set
 
 
 class Which(Enum):
@@ -113,8 +110,8 @@ class IdealTrace(Record):
     """The factor ideals L1 and L2 behind a quadratic ideal witness."""
 
     kind = "factor_ideals"
-    lambda1: QuadIdeal
-    lambda2: QuadIdeal
+    lambda1: cp.QuadIdeal
+    lambda2: cp.QuadIdeal
 
 
 class WitnessPair(Record):
@@ -146,8 +143,6 @@ def construct_witnesses_quadratic(p: TransferFunction) -> WitnessPair | None:
     falls back to the ideal witness.
     """
     desc = p.descriptor
-    if not isinstance(desc, QuadraticRing):
-        raise ValueError("quadratic construction on a non-quadratic plant")
     if contains(p) is not None:
         raise ValueError("plant lies in A; synthesis uses the trivial controller instead")
     num_re, num_im = int(p.num.re), int(p.num.im)
@@ -158,10 +153,7 @@ def construct_witnesses_quadratic(p: TransferFunction) -> WitnessPair | None:
     if gcd(cofactor, den) != 1:
         return None
     _, u, v = ext_gcd_int(cofactor, den)
-    trace = QuadraticTrace(
-        num_re=num_re, num_im=num_im, den=den,
-        num_norm=num_norm, norm_den_gcd=shared, norm_cofactor=cofactor,
-    )
+    trace = QuadraticTrace(num_re, num_im, den, num_norm, shared, cofactor)
     lam1, lam2 = RingElement.quad(desc, cofactor), RingElement.quad(desc, den)
     u, v = RingElement.quad(desc, u), RingElement.quad(desc, v)
     if in_causality_set(v):
@@ -169,17 +161,23 @@ def construct_witnesses_quadratic(p: TransferFunction) -> WitnessPair | None:
     return WitnessPair(plant=p, lam1=lam1, lam2=lam2, u=u, v=v, trace=trace)
 
 
-def search_witnesses_quadratic(p: TransferFunction) -> WitnessPair | None:
+def search_witnesses_quadratic(p: TransferFunction, ideals: QuadraticFactorIdeals | None = None) -> WitnessPair | None:
     """The least lam = u + v*w in the order (max(|u|, |v|), u, v) with lam in L1 and
-    1 - lam in L2; None iff G = (num, den) is not invertible (p not stabilizable)."""
-    ideals = factor_ideals(p)
-    if not ideals.invertible:
+    1 - lam in L2; None iff G = (num, den) is not invertible (p not stabilizable).
+    ``ideals``, p's factor ideals, keeps G for a later certificate."""
+    ideals = ideals or QuadraticFactorIdeals(p)
+    if not ideals.comaximal:
         return None
+    # the least point of the coset lam0 + L1*L2 of any lam0 in L1 with 1 - lam0 in L2
+    lam1, lam2 = ideals.lambdas
+    rows1 = lam1.basis_rows()
+    coeffs = cp.express_one(rows1 + lam2.basis_rows())
+    if coeffs is None:
+        raise ValueError("factor ideals of an invertible G must sum to A")
+    start = (coeffs[0] * rows1[0][0] + coeffs[1] * rows1[1][0], coeffs[1] * rows1[1][1])
     one = RingElement.one(p.descriptor)
-    lam = RingElement.quad(p.descriptor, *ideals.least_witness())
-    return WitnessPair(
-        plant=p, lam1=lam, lam2=one - lam, u=one, v=one, trace=IdealTrace(ideals.lam1, ideals.lam2)
-    )
+    lam = RingElement.quad(p.descriptor, *cp.least_in_coset(lam1.mul(lam2).basis_rows(), start))
+    return WitnessPair(plant=p, lam1=lam, lam2=one - lam, u=one, v=one, trace=IdealTrace(lam1, lam2))
 
 
 def construct_witnesses_delay(p: TransferFunction) -> WitnessPair:
@@ -192,8 +190,6 @@ def construct_witnesses_delay(p: TransferFunction) -> WitnessPair:
     so the multiplier moves to the other side: (num*multiplier, d).
     """
     desc = p.descriptor
-    if not isinstance(desc, DelayRing):
-        raise ValueError("delay construction on a non-delay plant")
     if contains(p) is not None:
         raise ValueError("plant lies in A; synthesis uses the trivial controller instead")
     w = desc.causal_factor(p.num, p.den)
@@ -202,12 +198,13 @@ def construct_witnesses_delay(p: TransferFunction) -> WitnessPair:
     n, d = p.num * w, p.den * w
     slope = w.coeff(1)
     swap = slope != 0 and p.den(-1 / slope) == 0
-    # With slope 0 the gcd is 1, so the plain pair (multiplier 1) is coprime.
-    for constant in _multiplier_constants() if slope else [ZERO]:
+    # Slope 0: the gcd is 1, so the plain pair (multiplier 1) is coprime.  Else try
+    # 2/k^2, k = 3, 4, ...; only finitely many meet a root of the reduced pair.
+    for constant in (Fraction(2, k * k) for k in count(3)) if slope else [ZERO]:
         mult = Poly.from_list([Fraction(1), slope, constant * slope * slope])
         num_infl, den_infl = p.num * mult, p.den * mult
         lam1, lam2 = (num_infl, d) if swap else (n, den_infl)
-        bezout = delay_bezout([lam1, lam2])
+        bezout = cp.delay_bezout([lam1, lam2])
         if bezout is not None:
             break
     (cof_num, cof_den), (shift, _) = bezout.qx, bezout.shifts
@@ -216,23 +213,8 @@ def construct_witnesses_delay(p: TransferFunction) -> WitnessPair:
     if in_causality_set(v):
         u, v, shift = u - lam2, v + lam1, shift - Poly.one()
 
-    trace = DelayTrace(
-        gcd=w,
-        gcd_slope=slope,
-        multiplier_constant=constant,
-        multiplier=mult,
-        num_reduced=p.num,
-        den_reduced=p.den,
-        num_inflated=num_infl,
-        den_inflated=den_infl,
-        cof_num=cof_num,
-        cof_den=cof_den,
-        shift=shift,
-        cof_num0=cof_num.coeff(0),
-        cof_num1=cof_num.coeff(1),
-        cof_den0=cof_den.coeff(0),
-        cof_den1=cof_den.coeff(1),
-    )
+    trace = DelayTrace(w, slope, constant, mult, p.num, p.den, num_infl, den_infl, cof_num, cof_den, shift,
+                       cof_num.coeff(0), cof_num.coeff(1), cof_den.coeff(0), cof_den.coeff(1))
     return WitnessPair(plant=p, lam1=lam1, lam2=lam2, u=u, v=v, trace=trace)
 
 
@@ -242,16 +224,146 @@ def search_witnesses_delay(p: TransferFunction) -> WitnessPair:
 
 
 def witness_candidates(p: TransferFunction) -> Iterator[WitnessPair]:
-    """The witnesses synthesis tries, in order, for a causal plant outside A.
+    """The witnesses synthesis tries, in order, for a causal plant outside A."""
+    return factor_ideals(p).witnesses()
 
-    First the construction for the plant's ring.  Quadratic rings end with
-    the ideal witness, which exists exactly when the plant is stabilizable.
-    """
-    if isinstance(p.descriptor, DelayRing):
-        makers = (construct_witnesses_delay,)
-    else:
-        makers = (construct_witnesses_quadratic, search_witnesses_quadratic)
-    for make in makers:
-        witness = make(p)
+
+def _coprime_factorization(p: TransferFunction, n: RingElement, d: RingElement) -> cp.CFVerdict:
+    cert = cp.are_coprime(n, d)
+    if not cert.is_witness:
+        raise ValueError("coprime-factorization candidates must be comaximal in A")
+    return cp.CFVerdict(cp.CFKind.EXISTS, p, n=n, d=d, x=cert.x, y=cert.y)
+
+
+class QuadraticFactorIdeals(Record):
+    """L1 = (num)*conj(G)/N(G) and L2 = (beta)*conj(G)/N(G) of a quadratic plant num/beta when
+    G = (num, beta) is invertible; G is computed on first use, which the fast path avoids."""
+
+    plant: TransferFunction
+    representation = None  # the canonical pair num/beta represents p in A
+
+    @cached_property
+    def ideal(self) -> cp.QuadIdeal:
+        """G = (num, beta)."""
+        return cp.ideal_from_gens(self.plant.descriptor.m, [self.plant.num, self.plant.den])
+
+    @cached_property
+    def lambdas(self) -> tuple[cp.QuadIdeal, cp.QuadIdeal] | None:
+        """(L1, L2), or None when G is not invertible."""
+        g, p = self.ideal, self.plant
+        norm, conj = g.norm, g.conj()
+        if g.mul(conj) != cp.QuadIdeal(g.m, norm, 0, norm):
+            return None
+        return tuple(cp.principal_ideal(g.m, z).mul(conj).divide_by_int(norm) for z in (p.num, p.den))
+
+    @property
+    def comaximal(self) -> bool:
+        return self.lambdas is not None
+
+    @property
+    def certificate(self) -> cp.QuadIdeal | None:
+        """The non-invertible G when L1 + L2 != A."""
+        return None if self.comaximal else self.ideal
+
+    def witnesses(self) -> Iterator[WitnessPair]:
+        """The fast path, then the ideal witness, which exists iff p is stabilizable."""
+        fast = construct_witnesses_quadratic(self.plant)
+        if fast is not None:
+            yield fast
+        witness = search_witnesses_quadratic(self.plant, self)
         if witness is not None:
             yield witness
+
+    def principal(self) -> cp.CFVerdict:
+        """A generator z of G gives n' = num/z, d' = beta/z, which generate G/z = A; an invertible
+        non-principal G gives NotExists, certified by L2; a non-invertible G gives Unknown."""
+        p, desc = self.plant, self.plant.descriptor
+        if not self.comaximal:
+            return cp.CFVerdict(cp.CFKind.UNKNOWN, p, reason=cp.NOT_INVERTIBLE_REASON)
+        z = cp.ideal_is_principal(self.ideal)
+        if z is None:
+            return cp.CFVerdict(cp.CFKind.NOT_EXISTS, p, ideal=self.lambdas[1])
+        # d' is unique up to a unit (+-1, and +-w when m = 1): take the one
+        # ideal_is_principal meets first, re > 0 (or re = 0 < im), least |im|, im >= 0.
+        units = [(1, 0), (-1, 0)] + ([(0, 1), (0, -1)] if desc.m == 1 else [])
+        d = min((p.den / z * QuadElem.of(*u, desc.m) for u in units),
+                key=lambda e: (e.re < 0 or (e.re == 0 and e.im < 0), abs(e.im), e.im < 0))
+        return _coprime_factorization(p, RingElement(desc, p.num * d / p.den), RingElement(desc, d))
+
+    @staticmethod
+    def bezout(desc: RingDescriptor, gens: list[RingElement]) -> list[RingElement] | None:
+        """Lattice membership of 1 in the ideal the gens generate."""
+        rows = cp.gen_rows(desc.m, [g.value for g in gens])
+        index = [i for i, g in enumerate(gens) if not g.is_zero()]  # generator of each row pair
+        coeffs = cp.express_one(rows) if rows else None
+        if coeffs is None:
+            return None
+        out = [RingElement.quad(desc, 0) for _ in gens]
+        for pos, i in enumerate(index):
+            out[i] = RingElement.quad(desc, coeffs[2 * pos], coeffs[2 * pos + 1])
+        if sum((x * g for x, g in zip(out, gens)), RingElement.zero(desc)) != RingElement.one(desc):
+            raise ValueError("lattice Bezout combination does not sum to 1")
+        return out
+
+    @staticmethod
+    def not_coprime(a: RingElement, b: RingElement) -> cp.CoprimeCertificate:
+        """The proper ideal (a, b)."""
+        ideal = cp.ideal_from_gens(a.descriptor.m, [a.value, b.value])
+        return cp.CoprimeCertificate(cp.CertKind.NOT_COPRIME, a, b, ideal=ideal)
+
+
+class DelayFactorIdeals(Record):
+    """L1 and L2 of a plant over Q[x^2, x^3], held as the reduced pair num/den and
+    w = ``DelayRing.causal_factor``; every causal plant is stabilizable."""
+
+    plant: TransferFunction
+    comaximal = True
+    certificate = None
+
+    @cached_property
+    def w(self) -> Poly | None:
+        return self.plant.descriptor.causal_factor(self.plant.num, self.plant.den)
+
+    def witnesses(self) -> Iterator[WitnessPair]:
+        yield construct_witnesses_delay(self.plant)
+
+    @cached_property
+    def representation(self) -> tuple[RingElement, RingElement, Poly]:
+        """(n, d, w): p = n/d with n = w*num, d = w*den in A and d outside Z."""
+        p, w = self.plant, self.w
+        return RingElement(p.descriptor, p.num * w), RingElement(p.descriptor, p.den * w), w
+
+    def principal(self) -> cp.CFVerdict:
+        """Exists exactly when the reduced num and den both lie in A."""
+        # Any polynomial representation of p is (w*num, w*den) over the
+        # reduced pair; a Bezout identity forces w constant, so only the
+        # canonical pair (up to scalars) can witness existence, and it does
+        # whenever it lies in A, being coprime over Q[x].
+        p = self.plant
+        if p.num.coeff(1) != 0 or p.den.coeff(1) != 0:
+            return cp.CFVerdict(cp.CFKind.UNKNOWN, p, reason=cp.OUTSIDE_A_REASON)
+        return _coprime_factorization(p, RingElement(p.descriptor, p.num), RingElement(p.descriptor, p.den))
+
+    @staticmethod
+    def bezout(desc: RingDescriptor, gens: list[RingElement]) -> list[RingElement] | None:
+        """Cofactors in A from ``delay_bezout``."""
+        bezout = cp.delay_bezout([g.value for g in gens])
+        return None if bezout is None else [RingElement(desc, c) for c in bezout.cofactors]
+
+    @staticmethod
+    def not_coprime(a: RingElement, b: RingElement) -> cp.CoprimeCertificate:
+        """The gcd over Q[x], with constant term 1 when it has one, else monic."""
+        common = poly_gcd(a.value, b.value)
+        if common.coeff(0) != 0:
+            common = common.scale(1 / common.coeff(0))
+        return cp.CoprimeCertificate(cp.CertKind.NOT_COPRIME, a, b, common_factor=common)
+
+
+def factor_ideal_class(desc: RingDescriptor) -> type[QuadraticFactorIdeals] | type[DelayFactorIdeals]:
+    """The factor-ideal class of desc's ring: the one ring test in ringstab."""
+    return DelayFactorIdeals if isinstance(desc, DelayRing) else QuadraticFactorIdeals
+
+
+def factor_ideals(p: TransferFunction) -> QuadraticFactorIdeals | DelayFactorIdeals:
+    """L1 and L2 of a nonzero plant p."""
+    return factor_ideal_class(p.descriptor)(p)

@@ -13,11 +13,11 @@ Two concrete rings are supported, one class each:
   monomial-by-monomial as alpha*x^2 + beta*x^3 with alpha, beta in A.
 
 A ring object is the only place that knows its elements: the member check,
-integer constants, canonical fractions, exact division in A, causal
-representations, the causality set, units, and the text, JSON and LaTeX
-forms.  ``RingElement`` and ``TransferFunction`` pair a value with its ring.
-Transfer functions are kept in a canonical reduced form so that equality is
-plain component comparison.
+integer constants both ways (``const``, ``integer``), canonical fractions,
+exact division in A, causal representations, the causality set, units, and
+the text, JSON and LaTeX forms.  ``RingElement`` and ``TransferFunction``
+pair a value with its ring.  Transfer functions are kept in a canonical
+reduced form so that equality is plain component comparison.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from .record import Record
 
 
 MAX_LITERAL_DIGITS = 4300  # CPython's default int_max_str_digits
+# parse_poly refuses x^k for k above this before it builds k + 1 coefficients
+MAX_EXPONENT = 10_000
 _DIGIT_RUN = _re.compile(r"[\d_]+")
 
 
@@ -90,6 +92,9 @@ class QuadraticRing(Record):
 
     def const(self, n) -> QuadElem:
         return QuadElem.integer(n, self.m)
+
+    def integer(self, v: QuadElem) -> int | None:
+        return int(v.re) if v.im == 0 else None
 
     def canonical(self, num, den) -> tuple[QuadElem, QuadElem]:
         """(a1 + a2*sqrt(m)*i, beta) with integer a1, a2, beta > 0, gcd(a1, a2, beta) = 1."""
@@ -170,6 +175,9 @@ class DelayRing(Record):
 
     def const(self, n) -> Poly:
         return Poly.constant(n)
+
+    def integer(self, v: Poly) -> int | None:
+        return int(v.coeff(0)) if v.degree <= 0 and v.coeff(0).denominator == 1 else None
 
     def canonical(self, num, den) -> tuple[Poly, Poly]:
         """num, den coprime over Q[x], den(0) = 1 when den(0) != 0, else den monic."""
@@ -575,6 +583,8 @@ def parse_poly(text: str) -> Poly:
         mt = _POLY_TERM.match(body)
         if mt:
             k = int(mt.group("exp") or 1)
+            if k > MAX_EXPONENT:
+                raise ValueError(f"an exponent is above {MAX_EXPONENT}")
             c = Fraction(mt.group("coeff") or 1)
         else:
             k = 0

@@ -26,13 +26,15 @@ examples (r1 = r2 = 0) and keeps the knob verifiable.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import accumulate
+from operator import mul
 
 from .closedloop import FeedbackMatrix, feedback_matrix
-from .coprime import QuadIdeal, factor_ideals
-from .elemfactor import WitnessPair, witness_candidates
+from .coprime import QuadIdeal
+from .elemfactor import WitnessPair, factor_ideals
 from .exact import ext_gcd_int
 from .record import Record
-from .rings import QuadraticRing, RingElement, TransferFunction, contains, is_causal
+from .rings import RingElement, TransferFunction, contains, is_causal
 
 
 class SynthesisError(Exception):
@@ -129,28 +131,30 @@ def _check_condition_i(lam1, lam2, a1, a2, omega) -> None:
 
 
 def _condition_i_shortcut(witness: WitnessPair, omega: int):
-    lam1, lam2 = witness.lam1, witness.lam2
-    desc = lam1.descriptor
-    if not isinstance(desc, QuadraticRing) or lam1.value.im != 0 or lam2.value.im != 0:
+    desc = witness.lam1.descriptor
+    k1, k2 = desc.integer(witness.lam1.value), desc.integer(witness.lam2.value)
+    if k1 is None or k2 is None:
         return None
-    g, s, t = ext_gcd_int(int(lam1.value.re) ** omega, int(lam2.value.re) ** omega)
+    g, s, t = ext_gcd_int(k1 ** omega, k2 ** omega)
     if g != 1:
         return None
-    return RingElement.quad(desc, s), RingElement.quad(desc, t)
+    return RingElement.int_const(desc, s), RingElement.int_const(desc, t)
 
 
 def _condition_i_binomial(witness: WitnessPair, omega: int):
-    lam1, lam2, u, v = witness.lam1, witness.lam2, witness.u, witness.v
-    desc = lam1.descriptor
+    desc = witness.lam1.descriptor
+    n, one = 2 * omega - 1, RingElement.one(desc)
+    # u[j] = u^j and so on, as running products
+    u, v, lam1, lam2 = (list(accumulate([x] * k, mul, initial=one)) for x, k in (
+        (witness.u, n), (witness.v, n), (witness.lam1, omega - 1), (witness.lam2, omega - 1)))
     a1 = a2 = RingElement.zero(desc)
-    n = 2 * omega - 1
     binom = 1
     for j in range(n + 1):
-        term = RingElement.int_const(desc, binom) * u ** j * v ** (n - j)
+        term = RingElement.int_const(desc, binom) * u[j] * v[n - j]
         if j >= omega:
-            a1 = a1 + term * lam1 ** (j - omega) * lam2 ** (n - j)
+            a1 = a1 + term * lam1[j - omega] * lam2[n - j]
         else:
-            a2 = a2 + term * lam1 ** j * lam2 ** (omega - 1 - j)
+            a2 = a2 + term * lam1[j] * lam2[omega - 1 - j]
         binom = binom * (n - j) // (j + 1)
     return a1, a2
 
@@ -235,12 +239,12 @@ def synthesize(p: TransferFunction, cfg: SynthesisConfig = SynthesisConfig()) ->
       3*s^2*(s-1)^2*(1-2s).  Failing at omega = 2 and 3 forces s in
       {0, 1/2, 1}, where t = s = c0 at every omega; t(0) is the same
       polynomial in s(0).
-    - Integer shortcut (quadratic rings, where Z = {0}, with lam1, lam2
-      integers): failing at omega = 2 puts c0 = t among the integers, so with
-      the binomial route c0 is 0 or 1, i.e. a2 = 0 (then lam1 = +-1) or
-      a1 = 0 (then lam2 = +-1).  ext_gcd_int(a, +-1) gives a1 = 0 for every
-      a, and ext_gcd_int(+-1, b) gives a2 = 0 for b = 0 and |b| >= 3, so t is
-      the same at every omega >= 2.
+    - Integer shortcut (lam1, lam2 integers, so a quadratic ring, where Z = {0},
+      as a constant delay lam2 would put p in A): failing at omega = 2 puts
+      c0 = t among the integers, so with the binomial route c0 is 0 or 1,
+      i.e. a2 = 0 (then lam1 = +-1) or a1 = 0 (then lam2 = +-1).
+      ext_gcd_int(a, +-1) gives a1 = 0 for every a, and ext_gcd_int(+-1, b)
+      gives a2 = 0 for b = 0 and |b| >= 3, so t is the same at every omega >= 2.
 
     The loop therefore returns what any longer scan returns first.
     """
@@ -259,10 +263,9 @@ def synthesize(p: TransferFunction, cfg: SynthesisConfig = SynthesisConfig()) ->
     r2 = cfg.r2 if cfg.r2 is not None else RingElement.zero(desc)
     pair = CoprimePairLocal.for_plant(p, r1, r2)
 
+    ideals = factor_ideals(p)
     last_failure = "witness"
-    tried_witness = False
-    for witness in witness_candidates(p):
-        tried_witness = True
+    for witness in ideals.witnesses():
         lam1, lam2 = witness.lam1, witness.lam2
         for omega in (1, 2, 3):
             for a1, a2 in condition_i_solutions(witness, omega):
@@ -283,8 +286,7 @@ def synthesize(p: TransferFunction, cfg: SynthesisConfig = SynthesisConfig()) ->
                     a1=a1, a2=a2, lam1=lam1, lam2=lam2, r1=r1, r2=r2,
                     condition_ii_products=products, witness=witness,
                 )
-    if not tried_witness:  # only a quadratic plant with a non-invertible G gets no candidate
-        ideal = factor_ideals(p).ideal
-        raise SynthesisError(f"plant is not stabilizable: G = (num, den) = {ideal} is not invertible",
-                             condition="not_stabilizable", certificate=ideal)
+    if not ideals.comaximal:  # then there was no witness to try
+        raise SynthesisError(f"plant is not stabilizable: G = (num, den) = {ideals.certificate} is not invertible",
+                             condition="not_stabilizable", certificate=ideals.certificate)
     raise SynthesisError(f"no omega satisfies condition ({last_failure}) for these r1, r2", condition=last_failure)

@@ -548,6 +548,23 @@ class TestLargeCoefficients:
         assert (code, out) == (EXIT_PARSE, "")
         assert err == f"error: {path}: a number has more than 4300 digits\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "{plant}", "(1 - x^10001)/(1)"],
+        ["verify", "{plant}", "(1 - x^100000000)/(1)"],
+        ["synthesize", "{plant}", "--r1", "x^10001"],
+    ], ids=["verify-just-outside", "verify-1e8", "r1-just-outside"])
+    def test_exponent_above_the_cap_exits_2(self, capsys, tmp_path, argv):
+        path = plant_file(tmp_path, DELAY_DOC)
+        code, out, err = run(capsys, *[path if a == "{plant}" else a for a in argv])
+        assert (code, out) == (EXIT_PARSE, "")
+        where = "--r1" if "--r1" in argv else "controller literal"
+        assert err == f"error: {where}: an exponent is above 10000\n"
+
+    def test_exponent_at_the_cap_gets_a_report(self, capsys, tmp_path):
+        # x^10000 - x^10000 is the zero controller, which leaves the loop open
+        code, doc = run_json(capsys, "verify", plant_file(tmp_path, DELAY_DOC), "x^10000 - x^10000")
+        assert code == EXIT_UNKNOWN and doc["controller"]["display"] == "(0)/(1)" and doc["stable"] is False
+
     def test_digit_groups_count_as_in_python(self):
         # an underscore separates digit groups and is not a digit, as for int()
         rings.check_literal_digits("1_" * 4299 + "1")

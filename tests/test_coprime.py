@@ -16,13 +16,13 @@ from ringstab.coprime import (
     are_coprime,
     bezout_combination,
     cf_exists,
-    factor_ideals,
     generate_family_instance,
     ideal_from_gens,
     ideal_is_principal,
     principal_ideal,
     verify_nonexistence_instance,
 )
+from ringstab.elemfactor import factor_ideals
 from ringstab.exact import Poly, QuadElem
 from ringstab.rings import RingElement, TransferFunction, contains, delay, quadratic
 
@@ -272,7 +272,7 @@ class TestCFExists:
         desc = quadratic(3)
         p = TransferFunction.make(desc, QuadElem.of(3, 1, 3), QuadElem.of(18, 0, 3))
         ideals = factor_ideals(p)
-        assert not ideals.invertible and ideals.ideal.norm == 6
+        assert not ideals.comaximal and ideals.certificate == ideals.ideal and ideals.ideal.norm == 6
         assert ideals.ideal.mul(ideals.ideal.conj()) != principal_ideal(3, QuadElem.of(6, 0, 3))
         verdict = cf_exists(p)
         assert verdict.kind == CFKind.UNKNOWN

@@ -11,18 +11,16 @@ import pytest
 import ringstab
 from ringstab.closedloop import FeedbackMatrix, ParamMatrixQ
 from ringstab.coprime import (
-    FactorIdeals,
     FamilyParams,
     NonexistenceInstance,
     QuadIdeal,
     are_coprime,
     cf_exists,
     delay_bezout,
-    factor_ideals,
     generate_family_instance,
     verify_nonexistence_instance,
 )
-from ringstab.elemfactor import WitnessPair
+from ringstab.elemfactor import WitnessPair, factor_ideals
 from ringstab.exact import Poly, QuadElem
 from ringstab.record import Record
 from ringstab.rings import DelayRing, QuadraticRing, RingElement, TransferFunction, delay, quadratic
@@ -44,7 +42,7 @@ def _samples() -> dict:
         quad, quad.closed_loop, quad.witness, quad.witness.trace, quad.plant, quad.a1, quad.a1.value,
         quad.plant.descriptor, dly.witness.trace, dly.a1.value, dly.plant.descriptor,
         ideal.witness.trace, SynthesisConfig(),
-        CoprimePairLocal.for_plant(quad.plant, zero, zero), factor_ideals(quad.plant),
+        CoprimePairLocal.for_plant(quad.plant, zero, zero), factor_ideals(quad.plant), factor_ideals(dly.plant),
         factor_ideals(quad.plant).ideal, delay_bezout([Poly.of(1, 0, 1), Poly.of(0, 0, 1)]),
         are_coprime(quad.a1, quad.a2), cf_exists(quad.plant), fam, generate_family_instance(fam),
         verify_nonexistence_instance(generate_family_instance(fam)), ParamMatrixQ.zero(),
@@ -62,7 +60,7 @@ def _fields(record) -> dict:
 
 def test_every_record_class_sampled():
     assert set(SAMPLES) == set(Record.__subclasses__())
-    assert len(SAMPLES) == 23
+    assert len(SAMPLES) == 24
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
@@ -121,8 +119,6 @@ def test_records_of_different_classes_with_equal_fields_are_unequal(first, secon
 
 def test_defaults_fill_missing_fields():
     assert SynthesisConfig() == SynthesisConfig(None, None) == SynthesisConfig(r2=None)
-    g = factor_ideals(TransferFunction.make(Z5, QuadElem.of(1, 1, 5), QuadElem.of(2, 0, 5))).ideal
-    assert FactorIdeals(g) == FactorIdeals(g, None, None) == FactorIdeals(ideal=g, lam2=None)
     result = SAMPLES[SynthesisResult]
     trivial = SynthesisResult(result.controller, result.plant, result.closed_loop, 0, *[None] * 6)
     assert trivial.condition_ii_products == () and trivial.witness is None and trivial.trivial is False

@@ -7,6 +7,7 @@ import pytest
 
 from ringstab.exact import Poly, QuadElem, poly_gcd
 from ringstab.rings import (
+    MAX_EXPONENT,
     DelayRing,
     RingElement,
     TransferFunction,
@@ -361,6 +362,17 @@ class TestTextualForms:
         assert parse_quad("+1+i5", 5) == QuadElem.of(1, 1, 5)
         assert parse_poly("-1 - x^2") == Poly.of(-1, 0, -1)
         assert parse_poly("1 + -x^2") == Poly.of(1, 0, -1)
+
+    def test_exponent_at_the_cap_parses(self):
+        assert MAX_EXPONENT == 10_000
+        assert parse_poly("1 - x^10000") == Poly.x_pow(10_000, -1) + Poly.one()
+        assert parse_poly("x^10000 - x^10000").is_zero()
+
+    @pytest.mark.parametrize("text", ["x^10001", "1 - 2*x^10001", "1 - x^10000000", "x^" + "9" * 4300])
+    def test_exponent_above_the_cap_is_refused(self, text):
+        # refused at the exponent, before a coefficient list of that length is built
+        with pytest.raises(ValueError, match="^an exponent is above 10000$"):
+            parse_poly(text)
 
     def test_element_roundtrip(self):
         e = RingElement.quad(Z5, 7, -3)

@@ -56,7 +56,46 @@ def q5(a, b=0):
     return RingElement.quad(Z5, a, b)
 
 
+def _binomial_by_powers(w, omega):
+    """The binomial route with every power computed from scratch, as it was before running products."""
+    desc = w.lam1.descriptor
+    a1 = a2 = RingElement.zero(desc)
+    n = 2 * omega - 1
+    binom = 1
+    for j in range(n + 1):
+        term = RingElement.int_const(desc, binom) * w.u ** j * w.v ** (n - j)
+        if j >= omega:
+            a1 = a1 + term * w.lam1 ** (j - omega) * w.lam2 ** (n - j)
+        else:
+            a2 = a2 + term * w.lam1 ** j * w.lam2 ** (omega - 1 - j)
+        binom = binom * (n - j) // (j + 1)
+    return a1, a2
+
+
+def _seeded_witnesses(ring, count, seed):
+    rng = random.Random(seed)
+    witnesses = []
+    while len(witnesses) < count:
+        if ring == "quadratic":
+            m = rng.choice([1, 3, 5, 13, 20])
+            num, den = QuadElem.of(rng.randint(-9, 9), rng.randint(-4, 4), m), QuadElem.of(rng.randint(1, 9), 0, m)
+            plant = TransferFunction.make(quadratic(m), num, den)
+        else:
+            den = Poly.of(1, *(rng.randint(-3, 3) for _ in range(2)))
+            plant = TransferFunction.make(D, Poly.of(*(rng.randint(-3, 3) for _ in range(3))), den)
+        if is_causal(plant) and not plant.is_zero() and contains(plant) is None:
+            witnesses += list(witness_candidates(plant))
+    return witnesses[:count]
+
+
 class TestConditionI:
+    @pytest.mark.parametrize("ring, count", [("quadratic", 6), ("delay", 2)])
+    def test_binomial_running_products_match_powers(self, ring, count):
+        for w in _seeded_witnesses(ring, count, seed=23):
+            for omega in range(1, 9):
+                pair, oracle = synthesis._condition_i_binomial(w, omega), _binomial_by_powers(w, omega)
+                assert pair == oracle and [str(a) for a in pair] == [str(a) for a in oracle]
+
     def test_integer_witnesses(self):
         w = construct_witnesses_quadratic(P_Z5)
         assert (w.lam1, w.lam2, w.u, w.v) == (q5(3), q5(2), q5(1), q5(-1))
