@@ -42,7 +42,6 @@ from .elemfactor import (
     factor_ideals,
     lambda_member,
     search_witnesses_quadratic,
-    witness_candidates,
 )
 from .exact import (
     Poly,

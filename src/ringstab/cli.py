@@ -78,6 +78,8 @@ class PlantFile:
             raise PlantFileError(f"cannot read {path}: {exc}")
         except json.JSONDecodeError as exc:
             raise PlantFileError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})")
+        except RecursionError:
+            raise PlantFileError(f"{path}: JSON nested too deeply")
         except ValueError as exc:  # a long JSON integer (_json_int) or bytes that are not UTF-8
             raise PlantFileError(f"{path}: {exc}")
         return PlantFile.from_dict(doc, where=path)
@@ -149,10 +151,6 @@ def _pair_json(tf: TransferFunction) -> dict:
 
 def _tf_json(tf: TransferFunction) -> dict:
     return {"display": str(tf), **_pair_json(tf)}
-
-
-def _elem_str(e: RingElement | None) -> str | None:
-    return None if e is None else str(e)
 
 
 def _trace_json(trace) -> dict:
@@ -292,10 +290,10 @@ def cmd_synthesize(args, rep: Report) -> None:
     rep.put("omega", result.omega, f"omega: {result.omega}")
     rep.put("trivial", result.trivial)
     if not result.trivial:
-        rep.put("a1", _elem_str(result.a1), f"a1: {result.a1}")
-        rep.put("a2", _elem_str(result.a2), f"a2: {result.a2}")
-        rep.put("r1", _elem_str(result.r1))
-        rep.put("r2", _elem_str(result.r2))
+        rep.put("a1", str(result.a1), f"a1: {result.a1}")
+        rep.put("a2", str(result.a2), f"a2: {result.a2}")
+        rep.put("r1", str(result.r1))
+        rep.put("r2", str(result.r2))
         rep.put("witness", _witness_json(result.witness))
         rep.put(
             "condition_ii_products",

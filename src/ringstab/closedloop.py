@@ -12,13 +12,14 @@ c = (-1+sqrt(5)i)/2 gives
 
     H0 = [[-2, 1+sqrt(5)i], [1-sqrt(5)i, -2]].
 
-For that plant the full set of achievable stable H's is an affine family in
-four ring parameters q11, q12, q21, q22; the family is reproduced here and
-each member H with nonzero diagonal yields its controller back as h21/h11.
+For that plant every stable H is fixed by its sensitivity s = (1+pc)^-1, which
+ranges over the coset -2 + L1*L2 of the factor-ideal product
+(``classical_loop_family``); each member H yields its controller back as h21/h11.
 """
 
 from __future__ import annotations
 
+from .exact import QuadElem
 from .record import Record
 from .rings import RingElement, TransferFunction, contains, quadratic
 
@@ -89,32 +90,19 @@ class ParamMatrixQ(Record):
 
 
 def classical_loop_family(q: ParamMatrixQ) -> FeedbackMatrix:
-    """The affine family of stable closed loops for p = (1+sqrt(5)i)/2.
+    """The stable closed loops for p = (1+sqrt(5)i)/2: H = [[s, -p*s], [(1 - s)/p, s]] at
 
-    h11 = h22 = 3w*q12 - 2w*q21 + 6*q11 - 3*q12 - 2*q21 + 6*q22 - 2
-    h12 = -3w*q11 + 2w*q21 - 3w*q22 + w - 3*q11 + 9*q12 - 4*q21 - 3*q22 + 1
-    h21 = 2w*q11 - 2w*q12 + 2w*q22 - w - 2*q11 - 4*q12 + 4*q21 - 2*q22 + 1
+    s = -2 + 6*q11 + (-3 + 3w)*q12 + (-2 - 2w)*q21 + 6*q22,   w = sqrt(5)i.
 
-    with w = sqrt(5)i.  Entries lie in A by construction, so every matrix of
-    the family is stable.
+    The generators span L1*L2 = [6, 1 + w], and s0 = -2 lies in L2 with 1 - s0 = 3 in L1,
+    so s lies in L2 and 1 - s in L1: every entry lies in A and every member is stable.
     """
     desc = quadratic(5)
-    w = RingElement.quad(desc, 0, 1)
-
-    def lin(cw11, cw12, cw21, cw22, c11, c12, c21, c22, const_re, const_im):
-        acc = RingElement.quad(desc, const_re, const_im)
-        for coeff, qq in ((cw11, q.q11), (cw12, q.q12), (cw21, q.q21), (cw22, q.q22)):
-            if coeff:
-                acc = acc + w * qq * RingElement.quad(desc, coeff)
-        for coeff, qq in ((c11, q.q11), (c12, q.q12), (c21, q.q21), (c22, q.q22)):
-            if coeff:
-                acc = acc + qq * RingElement.quad(desc, coeff)
-        return acc
-
-    h11 = lin(0, 3, -2, 0, 6, -3, -2, 6, -2, 0)
-    h12 = lin(-3, 0, 2, -3, -3, 9, -4, -3, 1, 1)
-    h21 = lin(2, -2, 0, 2, -2, -4, 4, -2, 1, -1)
-    return FeedbackMatrix(h11.to_tf(), h12.to_tf(), h21.to_tf())
+    s = RingElement.quad(desc, -2)
+    for (re, im), q_k in zip(((6, 0), (-3, 3), (-2, -2), (6, 0)), (q.q11, q.q12, q.q21, q.q22)):
+        s = s + RingElement.quad(desc, re, im) * q_k
+    s, p = s.to_tf(), TransferFunction.make(desc, QuadElem.of(1, 1, 5), QuadElem.of(2, 0, 5))
+    return FeedbackMatrix(s, -(p * s), (TransferFunction.one(desc) - s) / p)
 
 
 def extract_controller(h: FeedbackMatrix) -> TransferFunction:

@@ -47,7 +47,10 @@ from math import gcd
 from . import coprime as cp
 from .exact import ZERO, Poly, QuadElem, ext_gcd_int, poly_gcd
 from .record import Record
-from .rings import DelayRing, RingDescriptor, RingElement, TransferFunction, contains, in_causality_set
+from .rings import (
+    DelayRing, RingDescriptor, RingElement, TransferFunction, causal_representation, contains, in_causality_set,
+    is_causal,
+)
 
 
 class Which(Enum):
@@ -180,7 +183,7 @@ def search_witnesses_quadratic(p: TransferFunction, ideals: QuadraticFactorIdeal
     return WitnessPair(plant=p, lam1=lam, lam2=one - lam, u=one, v=one, trace=IdealTrace(lam1, lam2))
 
 
-def construct_witnesses_delay(p: TransferFunction) -> WitnessPair:
+def construct_witnesses_delay(p: TransferFunction, ideals: DelayFactorIdeals | None = None) -> WitnessPair:
     """Delay-ring witnesses via the gcd/multiplier/Bezout-shift construction.
 
     Works on the canonical inflated representation (n, d) = (w*num, w*den) of
@@ -188,14 +191,14 @@ def construct_witnesses_delay(p: TransferFunction) -> WitnessPair:
     reduced pair.  The witnesses are (n, den*multiplier); when w also divides
     den (den vanishes where w does) they would share w for every multiplier,
     so the multiplier moves to the other side: (num*multiplier, d).
+    ``ideals``, p's factor ideals, holds that representation.
     """
     desc = p.descriptor
     if contains(p) is not None:
         raise ValueError("plant lies in A; synthesis uses the trivial controller instead")
-    w = desc.causal_factor(p.num, p.den)
-    if w is None:
+    if not is_causal(p):
         raise ValueError("plant is not causal")
-    n, d = p.num * w, p.den * w
+    n, d, w = (ideals or DelayFactorIdeals(p)).representation
     slope = w.coeff(1)
     swap = slope != 0 and p.den(-1 / slope) == 0
     # Slope 0: the gcd is 1, so the plain pair (multiplier 1) is coprime.  Else try
@@ -203,7 +206,7 @@ def construct_witnesses_delay(p: TransferFunction) -> WitnessPair:
     for constant in (Fraction(2, k * k) for k in count(3)) if slope else [ZERO]:
         mult = Poly.from_list([Fraction(1), slope, constant * slope * slope])
         num_infl, den_infl = p.num * mult, p.den * mult
-        lam1, lam2 = (num_infl, d) if swap else (n, den_infl)
+        lam1, lam2 = (num_infl, d.value) if swap else (n.value, den_infl)
         bezout = cp.delay_bezout([lam1, lam2])
         if bezout is not None:
             break
@@ -221,11 +224,6 @@ def construct_witnesses_delay(p: TransferFunction) -> WitnessPair:
 def search_witnesses_delay(p: TransferFunction) -> WitnessPair:
     """The delay construction under a retired name that ``bench/spans.py`` still traces."""
     return construct_witnesses_delay(p)
-
-
-def witness_candidates(p: TransferFunction) -> Iterator[WitnessPair]:
-    """The witnesses synthesis tries, in order, for a causal plant outside A."""
-    return factor_ideals(p).witnesses()
 
 
 def _coprime_factorization(p: TransferFunction, n: RingElement, d: RingElement) -> cp.CFVerdict:
@@ -320,18 +318,14 @@ class DelayFactorIdeals(Record):
     comaximal = True
     certificate = None
 
-    @cached_property
-    def w(self) -> Poly | None:
-        return self.plant.descriptor.causal_factor(self.plant.num, self.plant.den)
-
     def witnesses(self) -> Iterator[WitnessPair]:
-        yield construct_witnesses_delay(self.plant)
+        yield construct_witnesses_delay(self.plant, self)
 
     @cached_property
     def representation(self) -> tuple[RingElement, RingElement, Poly]:
-        """(n, d, w): p = n/d with n = w*num, d = w*den in A and d outside Z."""
-        p, w = self.plant, self.w
-        return RingElement(p.descriptor, p.num * w), RingElement(p.descriptor, p.den * w), w
+        """(n, d, w): ``causal_representation`` p = n/d with n = w*num, d = w*den."""
+        p = self.plant
+        return (*causal_representation(p), p.descriptor.causal_factor(p.num, p.den))
 
     def principal(self) -> cp.CFVerdict:
         """Exists exactly when the reduced num and den both lie in A."""

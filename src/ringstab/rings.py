@@ -14,7 +14,7 @@ Two concrete rings are supported, one class each:
 
 A ring object is the only place that knows its elements: the member check,
 integer constants both ways (``const``, ``integer``), canonical fractions,
-exact division in A, causal representations, the causality set, units, and
+exact division in A, the causal factor, the causality set, units, and
 the text, JSON and LaTeX forms.  ``RingElement`` and ``TransferFunction``
 pair a value with its ring.  Transfer functions are kept in a canonical
 reduced form so that equality is plain component comparison.
@@ -98,10 +98,8 @@ class QuadraticRing(Record):
 
     def canonical(self, num, den) -> tuple[QuadElem, QuadElem]:
         """(a1 + a2*sqrt(m)*i, beta) with integer a1, a2, beta > 0, gcd(a1, a2, beta) = 1."""
-        if not isinstance(num, QuadElem):
-            num = QuadElem.of(num, 0, self.m)
-        if not isinstance(den, QuadElem):
-            den = QuadElem.of(den, 0, self.m)
+        if not isinstance(num, QuadElem) or not isinstance(den, QuadElem):
+            raise ValueError("quadratic transfer function needs QuadElem num/den")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         f = num / den  # re + im*sqrt(m)i with rational re, im
@@ -120,9 +118,9 @@ class QuadraticRing(Record):
         z = num / den
         return z if z.is_integral() else None
 
-    def causal_pair(self, num: QuadElem, den: QuadElem) -> tuple[QuadElem, QuadElem]:
-        """Z = {0}, so the canonical pair already qualifies."""
-        return num, den
+    def causal_factor(self, num: QuadElem, den: QuadElem) -> QuadElem:
+        """Z = {0}, so w = 1: the canonical pair already qualifies."""
+        return self.const(1)
 
     def in_causality_set(self, v: QuadElem) -> bool:
         return v.is_zero()
@@ -212,16 +210,6 @@ class DelayRing(Record):
             return None
         return Poly.from_list([ONE, -den.coeff(1)])
 
-    def causal_pair(self, num: Poly, den: Poly) -> tuple[Poly, Poly] | None:
-        """(w*num, w*den) for the ``causal_factor`` w, or None."""
-        w = self.causal_factor(num, den)
-        if w is None:
-            return None
-        n, d = num * w, den * w
-        if n.coeff(1) != 0 or d.coeff(1) != 0 or d(0) == 0:
-            raise ArithmeticError("inflated representation left A")
-        return n, d
-
     def in_causality_set(self, v: Poly) -> bool:
         return v.coeff(0) == 0
 
@@ -229,9 +217,13 @@ class DelayRing(Record):
         return v.degree == 0
 
     def display_pair(self, num: Poly, den: Poly) -> tuple[Poly, Poly]:
-        """The causal pair when there is one, with primitive integer coefficients
-        and the denominator's lowest nonzero coefficient positive."""
-        num, den = self.causal_pair(num, den) or (num, den)
+        """The causal pair (w*num, w*den) when there is one, with primitive integer
+        coefficients and the denominator's lowest nonzero coefficient positive."""
+        w = self.causal_factor(num, den)
+        if w is not None:
+            num, den = num * w, den * w
+            if self.in_causality_set(den):
+                raise ArithmeticError("inflated denominator w*den lies in Z")
         mult = 1
         for c in (*num.coeffs, *den.coeffs):
             mult = lcm(mult, c.denominator)
@@ -463,16 +455,20 @@ def divides(a: RingElement, b: RingElement) -> bool:
 
 
 def causal_representation(p: TransferFunction) -> tuple[RingElement, RingElement] | None:
-    """A representation p = n/d with n, d in A and d outside Z, or None."""
-    pair = p.descriptor.causal_pair(p.num, p.den)
-    if pair is None:
+    """p = n/d with n = w*num, d = w*den in A and d outside Z for the ring's ``causal_factor`` w, or None."""
+    desc = p.descriptor
+    w = desc.causal_factor(p.num, p.den)
+    if w is None:
         return None
-    return RingElement(p.descriptor, pair[0]), RingElement(p.descriptor, pair[1])
+    d = p.den * w
+    if desc.in_causality_set(d):
+        raise ArithmeticError("inflated denominator w*den lies in Z")
+    return RingElement(desc, p.num * w), RingElement(desc, d)
 
 
 def is_causal(p: TransferFunction) -> bool:
     """True iff p admits a representation n/d with n, d in A and d not in Z."""
-    return causal_representation(p) is not None
+    return p.descriptor.causal_factor(p.num, p.den) is not None
 
 
 # ---------------------------------------------------------------------------

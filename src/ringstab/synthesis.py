@@ -81,21 +81,23 @@ class SynthesisConfig(Record):
 
 
 class SynthesisResult(Record):
-    """A controller with the closed-loop matrix H(plant, controller), which must be stable."""
+    """A controller with the closed-loop matrix H(plant, controller), which must be stable;
+    a plant in A gets the zero controller and no witness, and a1, a2, r1, r2 stay None."""
 
     controller: TransferFunction
     plant: TransferFunction
     closed_loop: FeedbackMatrix
     omega: int
-    a1: RingElement | None
-    a2: RingElement | None
-    lam1: RingElement | None
-    lam2: RingElement | None
-    r1: RingElement | None
-    r2: RingElement | None
+    a1: RingElement | None = None
+    a2: RingElement | None = None
+    r1: RingElement | None = None
+    r2: RingElement | None = None
     condition_ii_products: tuple[RingElement, ...] = ()
     witness: WitnessPair | None = None
-    trivial: bool = False
+
+    @property
+    def trivial(self) -> bool:
+        return self.witness is None
 
     def __post_init__(self):
         if not self.closed_loop.stable:
@@ -253,11 +255,7 @@ def synthesize(p: TransferFunction, cfg: SynthesisConfig = SynthesisConfig()) ->
     desc = p.descriptor
     if contains(p) is not None:
         c = TransferFunction.zero(desc)
-        return SynthesisResult(
-            controller=c, plant=p, closed_loop=_closed_loop(p, c), omega=0,
-            a1=None, a2=None, lam1=None, lam2=None, r1=None, r2=None,
-            trivial=True,
-        )
+        return SynthesisResult(controller=c, plant=p, closed_loop=_closed_loop(p, c), omega=0)
 
     r1 = cfg.r1 if cfg.r1 is not None else RingElement.zero(desc)
     r2 = cfg.r2 if cfg.r2 is not None else RingElement.zero(desc)
@@ -266,10 +264,9 @@ def synthesize(p: TransferFunction, cfg: SynthesisConfig = SynthesisConfig()) ->
     ideals = factor_ideals(p)
     last_failure = "witness"
     for witness in ideals.witnesses():
-        lam1, lam2 = witness.lam1, witness.lam2
         for omega in (1, 2, 3):
             for a1, a2 in condition_i_solutions(witness, omega):
-                products = check_condition_ii(pair, lam1, lam2, a1, a2, omega)
+                products = check_condition_ii(pair, witness.lam1, witness.lam2, a1, a2, omega)
                 if products is None:
                     last_failure = "ii"
                     continue
@@ -283,7 +280,7 @@ def synthesize(p: TransferFunction, cfg: SynthesisConfig = SynthesisConfig()) ->
                     continue
                 return SynthesisResult(
                     controller=c, plant=p, closed_loop=_closed_loop(p, c), omega=omega,
-                    a1=a1, a2=a2, lam1=lam1, lam2=lam2, r1=r1, r2=r2,
+                    a1=a1, a2=a2, r1=r1, r2=r2,
                     condition_ii_products=products, witness=witness,
                 )
     if not ideals.comaximal:  # then there was no witness to try

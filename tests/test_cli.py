@@ -29,9 +29,14 @@ def run_json(capsys, *argv):
 
 
 def plant_file(tmp_path, doc):
+    """A plant file holding doc as JSON, or holding doc itself when it is a string."""
     path = tmp_path / "plant.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
+
+
+# 100,000 nested lists: json.load raises RecursionError on them
+DEEPLY_NESTED = '{"ring": ' + "[" * 100_000 + "]" * 100_000 + "}"
 
 
 with open(fx("delay_plant.json")) as fh:
@@ -450,11 +455,20 @@ class TestReports:
         (["verify", "{plant}", "--json", "--bogus"], None, "unrecognized arguments: --bogus"),
         (["verify", "{plant}", "--json", "-1+i5"], None, "unrecognized arguments: -1+i5"),
         (["synthesize", "{plant}", "--json", "(1)/(2)"], None, "unrecognized arguments: (1)/(2)"),
+        (["analyze", "{plant}"], '{"ring": {"kind": "delay"},\n "plant": }',
+         "{plant}:2:11: invalid JSON (Expecting value)"),
+        (["analyze", "{plant}"], DEEPLY_NESTED, "{plant}: JSON nested too deeply"),
+        (["verify", "{plant}"], dict(DELAY_DOC, controller="1/(1+x^2)"),
+         "{plant}: controller must be an object with 'num' and 'den'"),
+        (["verify", "{plant}"], dict(DELAY_DOC, controller={"num": {"coeffs": ["1"]}, "den": {"coeffs": ["0", "0"]}}),
+         "{plant}: controller: zero denominator"),
+        (["synthesize", "{plant}"], dict(DELAY_DOC, config=[["r1", "1"]]), "{plant}: config must be an object"),
     ], ids=["verify-sign-chain", "r1-poly-sign-chain", "r1-compact-poly-sign-chain", "verify-poly-sign-chain",
             "verify-poly-trailing-sign", "r1-non-integer", "config-non-integer",
             "config-non-integer-im", "bad-rational", "bad-ring-square", "bad-ring-no-m", "re-float",
             "coeffs-bool", "verify-two-literals-after-option", "verify-two-literals", "verify-unknown-option",
-            "verify-option-like-literal", "synthesize-extra-positional"])
+            "verify-option-like-literal", "synthesize-extra-positional", "invalid-json", "json-nested-too-deeply",
+            "controller-not-object", "controller-zero-denominator", "config-not-object"])
     def test_input_error_messages(self, capsys, tmp_path, argv, doc, message):
         path = plant_file(tmp_path, doc) if doc is not None else fx("quadratic_plant.json")
         code, out, err = run(capsys, *[path if a == "{plant}" else a for a in argv])

@@ -12,6 +12,8 @@ from ringstab.closedloop import (
     feedback_matrix,
     is_stable,
 )
+from ringstab.coprime import QuadIdeal, ideal_from_gens
+from ringstab.elemfactor import factor_ideals
 from ringstab.exact import Poly, QuadElem
 from ringstab.rings import RingElement, TransferFunction, contains, delay, quadratic
 from ringstab.synthesis import SynthesisError, synthesize
@@ -185,6 +187,55 @@ class TestParamFamily:
             c = extract_controller(h)
             assert is_stable(P_Z5, c)
             assert feedback_matrix(P_Z5, c).entries() == h.entries()
+
+
+def _table_loop_family(q):
+    """The family as the paper's table writes it, entry by entry in w = sqrt(5)i:
+
+    h11 = h22 = 3w*q12 - 2w*q21 + 6*q11 - 3*q12 - 2*q21 + 6*q22 - 2
+    h12 = -3w*q11 + 2w*q21 - 3w*q22 + w - 3*q11 + 9*q12 - 4*q21 - 3*q22 + 1
+    h21 = 2w*q11 - 2w*q12 + 2w*q22 - w - 2*q11 - 4*q12 + 4*q21 - 2*q22 + 1
+    """
+    w = q5(0, 1)
+
+    def lin(cw11, cw12, cw21, cw22, c11, c12, c21, c22, const_re, const_im):
+        acc = q5(const_re, const_im)
+        for cw, c, qq in zip((cw11, cw12, cw21, cw22), (c11, c12, c21, c22), (q.q11, q.q12, q.q21, q.q22)):
+            acc = acc + w * qq * q5(cw) + qq * q5(c)
+        return acc
+
+    h11 = lin(0, 3, -2, 0, 6, -3, -2, 6, -2, 0)
+    h12 = lin(-3, 0, 2, -3, -3, 9, -4, -3, 1, 1)
+    h21 = lin(2, -2, 0, 2, -2, -4, 4, -2, 1, -1)
+    return [h11.to_tf(), h12.to_tf(), h21.to_tf(), h11.to_tf()]
+
+
+def _random_param(rng, radius):
+    return ParamMatrixQ(*(q5(rng.randint(-radius, radius), rng.randint(-radius, radius)) for _ in range(4)))
+
+
+class TestFamilyFromSensitivity:
+    """The family built from s = 1/(1 + p*c) equals the paper's table, and s runs over s0 + L1*L2."""
+
+    def test_matches_the_table(self):
+        rng = random.Random(2525)
+        units = [ParamMatrixQ(*(unit if i == k else q5(0) for i in range(4)))
+                 for k in range(4) for unit in (q5(1), q5(0, 1))]
+        for q in units + [_random_param(rng, radius) for radius in (1, 3, 40) for _ in range(80)]:
+            assert classical_loop_family(q).entries() == _table_loop_family(q)
+
+    def test_sensitivity_coset_of_the_factor_ideal_product(self):
+        lam1, lam2 = factor_ideals(P_Z5).lambdas
+        s0 = classical_loop_family(ParamMatrixQ.zero()).h11
+        assert s0 == tf5(-2, 0)
+        assert lam2.member(s0.num) and lam1.member(QuadElem.of(1, 0, 5) - s0.num)
+        one, zero = q5(1), q5(0)
+        gens = []
+        for k in range(4):
+            q = ParamMatrixQ(*(one if i == k else zero for i in range(4)))
+            gens.append((classical_loop_family(q).h11 - s0).num)
+        assert gens == [QuadElem.of(6, 0, 5), QuadElem.of(-3, 3, 5), QuadElem.of(-2, -2, 5), QuadElem.of(6, 0, 5)]
+        assert ideal_from_gens(5, gens) == lam1.mul(lam2) == QuadIdeal(5, 6, 1, 1)
 
 
 class TestExtractController:

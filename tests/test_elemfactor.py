@@ -13,12 +13,12 @@ from ringstab.elemfactor import (
     WitnessPair,
     construct_witnesses_delay,
     construct_witnesses_quadratic,
+    factor_ideals,
     lambda_member,
     search_witnesses_quadratic,
-    witness_candidates,
 )
 from ringstab.exact import Poly, QuadElem, ext_gcd_poly
-from ringstab.rings import RingElement, TransferFunction, contains, delay, quadratic
+from ringstab.rings import RingElement, TransferFunction, causal_representation, contains, delay, quadratic
 
 Z5 = quadratic(5)
 D = delay()
@@ -110,7 +110,7 @@ class TestQuadraticSearch:
         z3 = quadratic(3)
         p = TransferFunction.make(z3, QuadElem.of(3, 1, 3), QuadElem.of(18, 0, 3))
         assert search_witnesses_quadratic(p) is None
-        assert list(witness_candidates(p)) == []
+        assert list(factor_ideals(p).witnesses()) == []
 
     def test_witness_far_from_the_origin(self):
         z13 = quadratic(13)
@@ -186,6 +186,20 @@ class TestDelayConstruction:
         assert w.lam1.value == Poly.of(1, 0, 0, -1)
         assert w.lam2.value == t.den_inflated
 
+    def test_representation_is_the_causal_representation(self):
+        # the factor-ideal object, the construction and ``analyze`` share one pair
+        ideals = factor_ideals(P_DELAY)
+        n, d, w = ideals.representation
+        assert (n, d) == causal_representation(P_DELAY)
+        assert (n.value, d.value, w) == (Poly.of(1, 0, 0, -1), Poly.of(1, 0, -1), Poly.of(1, -1))
+        witness = next(ideals.witnesses())
+        assert witness == construct_witnesses_delay(P_DELAY)
+        assert witness.lam1 == n and witness.trace.gcd == w
+
+    def test_noncausal_plant_refused(self):
+        with pytest.raises(ValueError, match="not causal"):
+            construct_witnesses_delay(TransferFunction.make(D, Poly.one(), Poly.x_pow(2)))
+
     def test_coprime_representation_skips_multiplier(self):
         p = TransferFunction.make(D, Poly.of(1, 0, 0, 1), Poly.of(1, 0, 1))
         w = construct_witnesses_delay(p)
@@ -250,7 +264,7 @@ class TestDelayBezout:
             p = TransferFunction.make(D, n, d)
             if contains(p) is not None:
                 continue
-            w = next(witness_candidates(p))
+            w = next(factor_ideals(p).witnesses())
             assert lambda_member(w.lam1, p, Which.I1)
             assert lambda_member(w.lam2, p, Which.I2)
             found += 1
@@ -298,7 +312,7 @@ class TestReciprocalWitness:
 
     def test_all_pole_plant(self):
         p = TransferFunction.make(D, Poly.one(), Poly.of(1, 0, 1))
-        [w] = witness_candidates(p)
+        [w] = factor_ideals(p).witnesses()
         # delay_bezout gives (u, v) = (1, 0) for (1, 1 + x^2); v moves to v + lam1
         assert (w.lam1.value, w.lam2.value) == (Poly.one(), Poly.of(1, 0, 1))
         assert (w.u.value, w.v.value) == (Poly.of(0, 0, -1), Poly.one())

@@ -120,8 +120,9 @@ def test_records_of_different_classes_with_equal_fields_are_unequal(first, secon
 def test_defaults_fill_missing_fields():
     assert SynthesisConfig() == SynthesisConfig(None, None) == SynthesisConfig(r2=None)
     result = SAMPLES[SynthesisResult]
-    trivial = SynthesisResult(result.controller, result.plant, result.closed_loop, 0, *[None] * 6)
-    assert trivial.condition_ii_products == () and trivial.witness is None and trivial.trivial is False
+    trivial = SynthesisResult(result.controller, result.plant, result.closed_loop, 0)
+    assert (trivial.a1, trivial.a2, trivial.r1, trivial.r2) == (None,) * 4
+    assert trivial.condition_ii_products == () and trivial.witness is None and trivial.trivial is True
 
 
 def test_post_init_still_validates():

@@ -141,7 +141,7 @@ class TestCausality:
             f = Poly.from_list(f[:1] + [-a * f[0]] + f[2:])
             g = Poly.from_list(g[:1] + [-a * g[0]] + g[2:])
             p = delay_tf(w0 * f, w0 * g)
-            n, d = D.causal_pair(p.num, p.den)
+            n, d = (e.value for e in causal_representation(p))
             w = D.causal_factor(p.num, p.den)
             if p.is_zero():
                 assert w == Poly.one()
@@ -151,11 +151,36 @@ class TestCausality:
             slopes.add(w.coeff(1))
         assert len(slopes) > 5  # the factor is not always 1
 
+    def test_is_causal_multiplies_nothing(self, monkeypatch):
+        # the decision reads the causal factor alone; it builds no pair
+        def refuse(*args):
+            raise AssertionError("is_causal multiplied or built a ring element")
+
+        plants = [delay_tf(Poly.of(1, 0, 0, -1), Poly.of(1, 0, -1)), delay_tf(Poly.one(), Poly.x_pow(2)),
+                  delay_tf(Poly.of(1, 1), Poly.of(1, 2)), quad_tf(1, 1, 2)]
+        for cls, name in ((Poly, "__mul__"), (QuadElem, "__mul__"), (RingElement, "__init__")):
+            monkeypatch.setattr(cls, name, refuse)
+        assert [is_causal(p) for p in plants] == [True, False, False, True]
+
+    def test_inflated_denominator_in_z_is_refused(self, monkeypatch):
+        # w = x^2 would put w*den in Z; both builders of the pair check for it
+        p = delay_tf(Poly.of(1, 0, 0, -1), Poly.of(1, 0, -1))
+        monkeypatch.setattr(DelayRing, "causal_factor", lambda self, num, den: Poly.x_pow(2))
+        with pytest.raises(ArithmeticError, match="lies in Z"):
+            causal_representation(p)
+        with pytest.raises(ArithmeticError, match="lies in Z"):
+            str(p)
+
+    def test_quadratic_causal_factor_is_one(self):
+        p = quad_tf(3, -1, 7)
+        assert Z5.causal_factor(p.num, p.den) == QuadElem.of(1, 0, 5)
+        assert causal_representation(p) == (RingElement(Z5, p.num), RingElement(Z5, p.den))
+
     def test_causal_factor_none_for_noncausal(self):
         for num, den in ((Poly.one(), Poly.x_pow(2)), (Poly.of(1, 1), Poly.of(1, 2)), (Poly.of(0, 1), Poly.one())):
             p = delay_tf(num, den)
             assert D.causal_factor(p.num, p.den) is None
-            assert D.causal_pair(p.num, p.den) is None
+            assert causal_representation(p) is None
 
 
 class TestCausalitySet:
@@ -303,6 +328,16 @@ class TestCanonicalForms:
     def test_rational_components_cleared(self):
         f = TransferFunction.make(Z5, QuadElem.of(F(1, 2), F(1, 2), 5), QuadElem.of(1, 0, 5))
         assert f == quad_tf(1, 1, 2)
+
+    @pytest.mark.parametrize("desc, num, den", [
+        (Z5, 1, QuadElem.of(2, 0, 5)),
+        (Z5, QuadElem.of(1, 1, 5), F(1, 2)),
+        (Z5, QuadElem.of(1, 1, 5), 2),
+        (D, Poly.one(), 2),
+    ], ids=["quadratic-int-num", "quadratic-fraction-den", "quadratic-int-den", "delay-int-den"])
+    def test_components_of_another_type_are_refused(self, desc, num, den):
+        with pytest.raises(ValueError, match="needs"):
+            TransferFunction.make(desc, num, den)
 
     def test_field_arithmetic(self):
         p = quad_tf(1, 1, 2)

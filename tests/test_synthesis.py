@@ -13,8 +13,8 @@ from ringstab.elemfactor import (
     WitnessPair,
     construct_witnesses_delay,
     construct_witnesses_quadratic,
+    factor_ideals,
     search_witnesses_quadratic,
-    witness_candidates,
 )
 from ringstab.exact import Poly, QuadElem, ext_gcd_int
 from ringstab.rings import (
@@ -84,7 +84,7 @@ def _seeded_witnesses(ring, count, seed):
             den = Poly.of(1, *(rng.randint(-3, 3) for _ in range(2)))
             plant = TransferFunction.make(D, Poly.of(*(rng.randint(-3, 3) for _ in range(3))), den)
         if is_causal(plant) and not plant.is_zero() and contains(plant) is None:
-            witnesses += list(witness_candidates(plant))
+            witnesses += list(factor_ideals(plant).witnesses())
     return witnesses[:count]
 
 
@@ -232,7 +232,7 @@ class TestSynthesize:
         assert contains(plant.inverse()) is not None
         result = synthesize(plant)
         assert result.omega == 1
-        assert result.witness == next(witness_candidates(plant))
+        assert result.witness == next(factor_ideals(plant).witnesses())
         assert not in_causality_set(result.witness.v)
         assert is_causal(result.controller)
         assert is_stable(plant, result.controller)
@@ -265,7 +265,7 @@ class TestSynthesize:
         result = synthesize(p)
         assert is_causal(result.controller) and result.omega == 1
         with pytest.raises(SynthesisError) as err:
-            SynthesisResult(c, p, feedback_matrix(p, c), 1, *[None] * 6)
+            SynthesisResult(c, p, feedback_matrix(p, c), 1)
         assert err.value.condition == "causality"
 
     def test_every_result_verified(self):
@@ -279,7 +279,8 @@ class TestSynthesize:
             assert is_stable(p, result.controller)
             if not result.trivial:
                 omega = result.omega
-                assert result.a1 * result.lam1 ** omega + result.a2 * result.lam2 ** omega == RingElement.one(Z5)
+                w = result.witness
+                assert result.a1 * w.lam1 ** omega + result.a2 * w.lam2 ** omega == RingElement.one(Z5)
                 assert len(result.condition_ii_products) == 8
 
     def test_r_parameter_coverage(self):
@@ -322,7 +323,7 @@ def _scan_to_32(p, r1, r2):
     """The omega = 1..32 scan that synthesize ran before omega <= 3 was proved decisive."""
     pair = CoprimePairLocal.for_plant(p, r1, r2)
     last_failure, tried = "witness", False
-    for w in witness_candidates(p):
+    for w in factor_ideals(p).witnesses():
         tried = True
         for omega in range(1, 33):
             for a1, a2 in condition_i_solutions(w, omega):
