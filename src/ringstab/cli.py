@@ -6,7 +6,7 @@ human-readable and as deterministic JSON (--json) in which all rational
 values appear as exact strings.
 
 Exit codes: 0 verified, 2 parse/usage error, 3 unverified or unknown,
-4 synthesis failure.
+4 synthesis failure, 5 out of resources (a MemoryError or RecursionError).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_UNKNOWN = 3
 EXIT_SYNTHESIS = 4
+EXIT_RESOURCE = 5
 
 
 class PlantFileError(Exception):
@@ -501,11 +502,15 @@ def main(argv: list[str] | None = None) -> int:
 def _run(args, rep: Report) -> int:
     try:
         args.func(args, rep)
+        text = rep.finish(as_json=args.json)
     except PlantFileError as exc:
         print(_one_line(exc), file=sys.stderr)
         return EXIT_PARSE
+    except (MemoryError, RecursionError) as exc:
+        print(_one_line(f"{args.cmd}: out of resources ({type(exc).__name__})"), file=sys.stderr)
+        return EXIT_RESOURCE
     try:
-        print(rep.finish(as_json=args.json))
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader went away (``| head``); keep the exit-time flush quiet too.

@@ -92,10 +92,6 @@ def _round_div(n: int, d: int) -> int:
     return (2 * n + d) // (2 * d)
 
 
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return u[0] * v[0] + u[1] * v[1]
-
-
 def _cross(u: Sequence[int], v: Sequence[int]) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
@@ -107,6 +103,22 @@ def _steps_within(q: int, step: int, radius: int) -> tuple[int, int]:
     return -((radius + q) // step), (radius - q) // step
 
 
+def _lagrange(rows: Sequence[Sequence[int]], m: int) -> tuple[Sequence[int], Sequence[int]]:
+    """Lagrange-Gauss reduced basis (b1, b2) of the lattice spanned by two rows,
+    under B(u, v) = u0*v0 + m*u1*v1 with m > 0: |2B(b1, b2)| <= B(b1, b1) <= B(b2, b2),
+    so B(b1, b1) is the least value of B(z, z) over the nonzero lattice points."""
+    def form(u, v):
+        return u[0] * v[0] + m * u[1] * v[1]
+
+    b1, b2 = sorted(rows, key=lambda r: form(r, r))
+    while True:
+        q = _round_div(form(b1, b2), form(b1, b1))
+        b2 = (b2[0] - q * b1[0], b2[1] - q * b1[1])
+        if form(b2, b2) >= form(b1, b1):
+            return b1, b2
+        b1, b2 = b2, b1
+
+
 def least_in_coset(rows: Sequence[Sequence[int]], point: Sequence[int]) -> tuple[int, int]:
     """The point of point + lattice(rows) least in the order (max(|x|, |y|), x, y).
 
@@ -115,13 +127,7 @@ def least_in_coset(rows: Sequence[Sequence[int]], point: Sequence[int]) -> tuple
     c + i*b1 + j*b2 within R is enumerated, j over the few values that
     |j*det| = |cross(b1, P - c)| <= 2R*|b1|_1 allows, i over an interval.
     """
-    b1, b2 = sorted(rows, key=lambda r: _dot(r, r))
-    while True:
-        q = _round_div(_dot(b1, b2), _dot(b1, b1))
-        b2 = (b2[0] - q * b1[0], b2[1] - q * b1[1])
-        if _dot(b2, b2) >= _dot(b1, b1):
-            break
-        b1, b2 = b2, b1
+    b1, b2 = _lagrange(rows, 1)
     det = _cross(b1, b2)
     if det < 0:
         b2, det = (-b2[0], -b2[1]), -det
@@ -228,29 +234,15 @@ def principal_ideal(m: int, z: QuadElem) -> QuadIdeal:
 
 
 def ideal_is_principal(ideal: QuadIdeal) -> QuadElem | None:
-    """A generator of the ideal, or None.  Complete in every order.
+    """A generator of the ideal, or None.  Exact in every order.
 
-    A generator z has N(z) = [A : zA] = norm(ideal), so enumerating the
-    finitely many elements with re^2 + m*im^2 = norm(ideal) (half-plane
-    representatives; sign flips generate the same ideal) and checking
-    generation by HNF equality decides principality.
+    A nonzero z in the ideal I has N(z) = [A : zA] = N(I)*[I : zA], so z
+    generates I iff N(z) = N(I), and I is principal iff the least value of
+    Q(x, y) = x^2 + m*y^2 on I minus 0 is N(I).  The first vector of a basis
+    Lagrange-reduced under Q attains it; the reduction takes O(log N(I)) steps.
     """
-    n = ideal.norm
-    for y in range(0, math.isqrt(n // ideal.m) + 1):
-        rest = n - ideal.m * y * y
-        x = math.isqrt(rest)
-        if x * x != rest:
-            continue
-        candidates = [(x, y)]
-        if x > 0 and y > 0:
-            candidates.append((x, -y))
-        for cx, cy in candidates:
-            z = QuadElem.of(cx, cy, ideal.m)
-            if z.is_zero() or not ideal.member(z):
-                continue
-            if principal_ideal(ideal.m, z) == ideal:
-                return z
-    return None
+    b1, _ = _lagrange(ideal.basis_rows(), ideal.m)
+    return QuadElem.of(*b1, ideal.m) if b1[0] ** 2 + ideal.m * b1[1] ** 2 == ideal.norm else None
 
 
 # ---------------------------------------------------------------------------

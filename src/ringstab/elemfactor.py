@@ -281,8 +281,8 @@ class QuadraticFactorIdeals(Record):
         z = cp.ideal_is_principal(self.ideal)
         if z is None:
             return cp.CFVerdict(cp.CFKind.NOT_EXISTS, p, ideal=self.lambdas[1])
-        # d' is unique up to a unit (+-1, and +-w when m = 1): take the one
-        # ideal_is_principal meets first, re > 0 (or re = 0 < im), least |im|, im >= 0.
+        # d' is unique up to a unit (+-1, and +-w when m = 1), so every generator z
+        # gives the same choice: re > 0 (or re = 0 < im), least |im|, im >= 0.
         units = [(1, 0), (-1, 0)] + ([(0, 1), (0, -1)] if desc.m == 1 else [])
         d = min((p.den / z * QuadElem.of(*u, desc.m) for u in units),
                 key=lambda e: (e.re < 0 or (e.re == 0 and e.im < 0), abs(e.im), e.im < 0))

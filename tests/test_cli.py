@@ -1,14 +1,15 @@
 """Command-line interface: commands, exit codes, JSON reports, roundtrips."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from ringstab import rings
-from ringstab.cli import EXIT_OK, EXIT_PARSE, EXIT_SYNTHESIS, EXIT_UNKNOWN, PlantFile, main
+from ringstab import cli, rings
+from ringstab.cli import EXIT_OK, EXIT_PARSE, EXIT_RESOURCE, EXIT_SYNTHESIS, EXIT_UNKNOWN, PlantFile, main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -277,6 +278,20 @@ class TestVerify:
         assert len(calls) == 3
 
 
+# (r + i5)/q with q prime, q = 3 or 7 mod 20 and r^2 = -5 mod q: G = (r + i5, q) has norm q
+# and is not principal, and the certificate L2 = (q)*G^-1 is conj(G) = [q, q - r + i5].
+Q18, R18 = 100000000000012543, 4167397985268791  # also tests/fixtures/nonprincipal_18.json
+Q200 = 10**199 + 13567
+R200 = int(
+    "3777380588740678901459698893961916650745501970910944500573639744177947047949965387382616349754160086"
+    "519797371387575480419918785246813013970622047950085934980751742265592288434629959935953911071706649"
+)
+# At the digit cap, t odd and q = (t^2 + 5)/2 of 4,300 digits: (t + i5) = (2, 1 + i5)*G with
+# G = (t + i5, q) of norm q, so G lies in the class of the non-principal (2, 1 + i5).
+T_CAP = (math.isqrt(2 * 10**4299) + 1) | 1
+Q_CAP = (T_CAP * T_CAP + 5) // 2
+
+
 class TestCoprimeFactorization:
     def test_quadratic_plant_not_exists(self, capsys):
         code, doc = run_json(capsys, "coprime-factorization", fx("quadratic_plant.json"))
@@ -304,6 +319,24 @@ class TestCoprimeFactorization:
         code, report = run_json(capsys, "coprime-factorization", plant_file(tmp_path, doc))
         assert code == EXIT_OK
         assert report["cf"]["verdict"] == "exists"
+
+    @pytest.mark.parametrize("digits, r, q", [(18, R18, Q18), (200, R200, Q200), (4300, T_CAP, Q_CAP)],
+                             ids=["18", "200", "4300"])
+    def test_large_norm_not_principal(self, capsys, tmp_path, digits, r, q):
+        assert len(str(q)) == digits
+        code, doc = run_json(capsys, "coprime-factorization", plant_file(tmp_path, quad_doc(5, r, 1, q)))
+        assert code == EXIT_OK and doc["cf"]["verdict"] == "not_exists"
+        assert doc["cf"]["certificate_ideal"]["basis"] == [[q, 0], [q - r, 1]]
+
+    @pytest.mark.parametrize("digits", [200, 4300])
+    def test_large_norm_principal(self, capsys, tmp_path, digits):
+        # p = (x + y*i5)/(x^2 + 5y^2) with gcd(x, y) = 1: G = (x + y*i5), so n' = 1 and d' = x - y*i5
+        x, y = 10 ** (digits // 2 - 1) + 7, 3 * 10 ** (digits // 2 - 1) + 1
+        q = x * x + 5 * y * y
+        assert len(str(q)) == digits
+        code, doc = run_json(capsys, "coprime-factorization", plant_file(tmp_path, quad_doc(5, x, y, q)))
+        assert code == EXIT_OK
+        assert doc["cf"] == {"verdict": "exists", "n": "1", "d": f"{x}-{y}*i5", "x": "1", "y": "0"}
 
 
 class TestFamily:
@@ -500,6 +533,12 @@ def _sevens(digits):
     return "7" * digits
 
 
+def _json_integer_doc(digits):
+    """A quadratic plant file whose numerator's real part is a JSON integer of sevens."""
+    return ('{"ring": {"kind": "quadratic", "m": 5}, '
+            f'"plant": {{"num": {{"re": {_sevens(digits)}, "im": 1}}, "den": {{"re": 2}}}}}}')
+
+
 def _delay_doc_with(coeff):
     return {"ring": {"kind": "delay"},
             "plant": {"num": {"coeffs": ["1", "0", "0", coeff]}, "den": {"coeffs": ["1", "0", "-1"]}}}
@@ -532,6 +571,20 @@ class TestLargeCoefficients:
         code, out, _ = run(capsys, "verify", path, controller, "--json")
         assert code == EXIT_OK and json.loads(out, parse_int=str)["stable"] is True
 
+    @pytest.mark.parametrize("argv, doc, code", [
+        (["coprime-factorization", "{plant}"], _json_integer_doc(4300), EXIT_OK),
+        (["coprime-factorization", "{plant}"], quad_doc(5, _sevens(4300), 1, 2), EXIT_OK),
+        (["synthesize", "{plant}", "--r1", _sevens(4300)], quad_doc(5, 1, 1, 2), EXIT_OK),
+        (["verify", "{plant}", f"({_sevens(4300)})/(1)"], quad_doc(5, 1, 1, 2), EXIT_UNKNOWN),
+        (["synthesize", "{plant}", "--r1", "x^10000 - x^10000"], DELAY_DOC, EXIT_OK),
+    ], ids=["json-integer", "quadratic-string", "r1-literal", "verify-literal", "r1-exponent"])
+    def test_at_the_cap_gets_a_report(self, capsys, tmp_path, argv, doc, code):
+        # one digit or one exponent step further: the rows of the two tests below
+        path = plant_file(tmp_path, doc)
+        got, out, err = run(capsys, *[path if a == "{plant}" else a for a in argv], "--json")
+        assert (got, err) == (code, "")
+        assert json.loads(out, parse_int=str)["status"] == ("verified" if code == EXIT_OK else "unknown")
+
     @pytest.mark.parametrize("argv, doc, message", [
         (["analyze", "{plant}"], quad_doc(5, _sevens(4301), 1, 2),
          "{plant}: plant.num: a number has more than 4300 digits"),
@@ -555,10 +608,8 @@ class TestLargeCoefficients:
 
     @pytest.mark.parametrize("digits", [4301, 1_000_000])
     def test_longer_json_integer_exits_2(self, capsys, tmp_path, digits):
-        path = tmp_path / "plant.json"
-        path.write_text('{"ring": {"kind": "quadratic", "m": 5}, '
-                        f'"plant": {{"num": {{"re": {_sevens(digits)}, "im": 1}}, "den": {{"re": 2}}}}}}')
-        code, out, err = run(capsys, "analyze", str(path))
+        path = plant_file(tmp_path, _json_integer_doc(digits))
+        code, out, err = run(capsys, "analyze", path)
         assert (code, out) == (EXIT_PARSE, "")
         assert err == f"error: {path}: a number has more than 4300 digits\n"
 
@@ -584,3 +635,27 @@ class TestLargeCoefficients:
         rings.check_literal_digits("1_" * 4299 + "1")
         with pytest.raises(ValueError, match="more than 4300 digits"):
             rings.check_literal_digits("1_" * 4300 + "1")
+
+
+class TestResourceErrors:
+    """A MemoryError or RecursionError that escapes a command or its rendering exits 5 with one line."""
+
+    @staticmethod
+    def _raise(error):
+        def raiser(*args, **kwargs):
+            raise error("maximum recursion depth exceeded")
+        return raiser
+
+    @pytest.mark.parametrize("error", [MemoryError, RecursionError])
+    def test_in_a_command(self, capsys, monkeypatch, error):
+        monkeypatch.setattr(cli, "cmd_coprime_factorization", self._raise(error))
+        code, out, err = run(capsys, "coprime-factorization", fx("quadratic_plant.json"))
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert err == f"error: coprime-factorization: out of resources ({error.__name__})\n"
+
+    @pytest.mark.parametrize("error", [MemoryError, RecursionError])
+    def test_in_the_rendering(self, capsys, monkeypatch, error):
+        monkeypatch.setattr(cli.Report, "finish", self._raise(error))
+        code, out, err = run(capsys, "analyze", fx("quadratic_plant.json"), "--json")
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert err == f"error: analyze: out of resources ({error.__name__})\n"

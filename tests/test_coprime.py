@@ -1,5 +1,6 @@
 """Ideal arithmetic, coprimeness certificates, CF verdicts, and the family."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -30,6 +31,8 @@ Z5 = quadratic(5)
 D = delay()
 
 MAXIMAL_MS = [1, 2, 5, 6, 10, 13, 14, 17, 21, 22, 26, 29]
+# Z[sqrt(m)i] is not the maximal order for m = 3 mod 4 or m not square-free
+NON_MAXIMAL_MS = [3, 4, 7, 8, 11, 12, 15, 20, 27]
 
 
 def q5(a, b=0):
@@ -105,7 +108,7 @@ class TestPrincipality:
 
     def test_non_maximal_order_principal(self):
         # a generator z has N(z) = [A : zA] = norm in every order, so the
-        # norm-form enumeration is complete outside maximal orders too
+        # reduced-basis test is exact outside maximal orders too
         assert ideal_is_principal(ideal_from_gens(3, [QuadElem.of(2, 0, 3)])) == QuadElem.of(2, 0, 3)
         ideal = ideal_from_gens(20, [QuadElem.of(3, 0, 20), QuadElem.of(1, 1, 20)])
         assert ideal_is_principal(ideal) is None  # x^2 + 20*y^2 = 3 has no solution
@@ -120,6 +123,48 @@ class TestPrincipality:
             gen = ideal_is_principal(principal_ideal(m, z))
             assert gen is not None
             assert principal_ideal(m, gen) == principal_ideal(m, z)
+
+
+def _enumerate_principal(ideal):
+    """Oracle: a generator among the elements with re^2 + m*im^2 = norm(ideal)
+    (half-plane representatives), or None; O(sqrt(norm/m)) steps."""
+    n = ideal.norm
+    for y in range(0, math.isqrt(n // ideal.m) + 1):
+        rest = n - ideal.m * y * y
+        x = math.isqrt(rest)
+        if x * x != rest:
+            continue
+        candidates = [(x, y)]
+        if x > 0 and y > 0:
+            candidates.append((x, -y))
+        for cx, cy in candidates:
+            z = QuadElem.of(cx, cy, ideal.m)
+            if z.is_zero() or not ideal.member(z):
+                continue
+            if principal_ideal(ideal.m, z) == ideal:
+                return z
+    return None
+
+
+class TestPrincipalityAgainstEnumeration:
+    def test_same_answer_on_seeded_ideals(self):
+        rng = random.Random(2027)
+        ms = MAXIMAL_MS + NON_MAXIMAL_MS
+        seen = {m: [0, 0] for m in ms}  # principal, non-principal
+        for _ in range(10_000):
+            m = rng.choice(ms)
+            gens = [QuadElem.of(rng.randint(-12, 12), rng.randint(-12, 12), m) for _ in range(rng.randint(1, 3))]
+            if all(g.is_zero() for g in gens):
+                continue
+            ideal = ideal_from_gens(m, gens)
+            z = ideal_is_principal(ideal)
+            assert (z is None) == (_enumerate_principal(ideal) is None), ideal
+            if z is not None:
+                assert principal_ideal(m, z) == ideal
+            seen[m][z is None] += 1
+        # every order meets both answers, apart from Z[i] and Z[sqrt(2)i], whose ideals are all principal
+        assert all(p > 0 for p, _ in seen.values())
+        assert [m for m, (_, n) in seen.items() if n == 0] == [1, 2]
 
 
 class TestAreCoprime:

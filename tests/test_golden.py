@@ -26,6 +26,7 @@ CASES = [
     for stem, codes in (
         ("delay_plant", {"analyze": 0, "synthesize": 0, "coprime-factorization": 3}),
         ("in_ring", {"analyze": 0, "synthesize": 0, "coprime-factorization": 0}),
+        ("nonprincipal_18", {"coprime-factorization": 0}),
         ("noncausal", {"analyze": 3, "synthesize": 4, "coprime-factorization": 0}),
         ("quadratic_plant", {"analyze": 0, "synthesize": 0, "verify": 0, "coprime-factorization": 0}),
         ("rational", {"analyze": 0, "synthesize": 0, "coprime-factorization": 0}),

@@ -4,10 +4,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ringstab.cli import PlantFile, PlantFileError
 from ringstab.exact import Poly, QuadElem, poly_gcd
 from ringstab.rings import (
     MAX_EXPONENT,
+    MAX_LITERAL_DIGITS,
     DelayRing,
     RingElement,
     TransferFunction,
@@ -408,6 +412,42 @@ class TestTextualForms:
         # refused at the exponent, before a coefficient list of that length is built
         with pytest.raises(ValueError, match="^an exponent is above 10000$"):
             parse_poly(text)
+
+    @given(digits=st.integers(1, MAX_LITERAL_DIGITS + 100), seed=st.integers(0, 2**32))
+    @example(digits=MAX_LITERAL_DIGITS, seed=0)
+    @example(digits=MAX_LITERAL_DIGITS + 1, seed=0)
+    def test_digit_cap_property(self, digits, seed):
+        rng = random.Random(seed)
+        number = str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=digits - 1))
+        quad_doc = {"ring": {"kind": "quadratic", "m": 5},
+                    "plant": {"num": {"re": number, "im": "1"}, "den": {"re": "2", "im": "0"}}}
+        delay_doc = {"ring": {"kind": "delay"},
+                     "plant": {"num": {"coeffs": ["1", "0", "0", number]}, "den": {"coeffs": ["1", "0", "-1"]}}}
+        if digits > MAX_LITERAL_DIGITS:
+            with pytest.raises(ValueError, match=f"^a number has more than {MAX_LITERAL_DIGITS} digits$"):
+                parse_quad(f"{number}-i5", 5)
+            with pytest.raises(ValueError, match=f"^a number has more than {MAX_LITERAL_DIGITS} digits$"):
+                parse_poly(f"1 - {number}*x^2")
+            for doc in (quad_doc, delay_doc):
+                with pytest.raises(PlantFileError, match="^<doc>: plant.num: a number has more than"):
+                    PlantFile.from_dict(doc)
+            return
+        value = int(number)
+        assert parse_quad(f"{number}-i5", 5) == QuadElem.of(value, -1, 5)
+        assert parse_poly(f"1 - {number}*x^2") == Poly.of(1, 0, -value)
+        assert PlantFile.from_dict(quad_doc).plant == quad_tf(value, 1, 2)
+        assert PlantFile.from_dict(delay_doc).plant == delay_tf(Poly.of(1, 0, 0, value), Poly.of(1, 0, -1))
+
+    @settings(max_examples=30)  # each example builds up to 10,001 coefficients
+    @given(st.integers(0, MAX_EXPONENT + 100))
+    @example(MAX_EXPONENT)
+    @example(MAX_EXPONENT + 1)
+    def test_exponent_cap_property(self, k):
+        if k > MAX_EXPONENT:
+            with pytest.raises(ValueError, match=f"^an exponent is above {MAX_EXPONENT}$"):
+                parse_poly(f"1 - x^{k}")
+        else:
+            assert parse_poly(f"1 - x^{k}") == Poly.one() - Poly.x_pow(k)
 
     def test_element_roundtrip(self):
         e = RingElement.quad(Z5, 7, -3)
