@@ -5,7 +5,7 @@ from .closedloop import (
     FeedbackMatrix,
     ParamMatrixQ,
     classical_loop_family,
-    extract_controller,
+    controller_at,
     feedback_matrix,
     is_stable,
 )

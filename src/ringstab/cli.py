@@ -5,7 +5,7 @@ descriptions live in JSON files (see README); every report is available both
 human-readable and as deterministic JSON (--json) in which all rational
 values appear as exact strings.
 
-Exit codes: 0 verified, 2 parse/usage error, 3 unverified or unknown,
+Exit codes: 0 verified, 2 parse/usage error, 3 unknown or, from verify, not_stable,
 4 synthesis failure, 5 out of resources (a MemoryError or RecursionError).
 """
 
@@ -39,6 +39,7 @@ EXIT_PARSE = 2
 EXIT_UNKNOWN = 3
 EXIT_SYNTHESIS = 4
 EXIT_RESOURCE = 5
+STATUS_EXIT = dict(verified=EXIT_OK, unknown=EXIT_UNKNOWN, not_stable=EXIT_UNKNOWN, synthesis_failed=EXIT_SYNTHESIS)
 
 
 class PlantFileError(Exception):
@@ -194,12 +195,12 @@ def _cf_json(v: cp.CFVerdict) -> dict:
 
 
 class Report:
-    """Accumulates ordered key/value output plus an exit status."""
+    """Accumulates ordered key/value output plus a status, a key of ``STATUS_EXIT``."""
 
     def __init__(self, command: str, argv: list[str]):
         self.data: dict = {"command": command, "argv": argv}
         self.lines: list[str] = []
-        self.status = EXIT_OK
+        self.status = "verified"
 
     def put(self, key: str, value, line: str | None = None) -> None:
         self.data[key] = value
@@ -210,11 +211,7 @@ class Report:
         self.lines.append(line)
 
     def finish(self, as_json: bool) -> str:
-        self.data["status"] = {
-            EXIT_OK: "verified",
-            EXIT_UNKNOWN: "unknown",
-            EXIT_SYNTHESIS: "synthesis_failed",
-        }.get(self.status, "error")
+        self.data["status"] = self.status
         if as_json:
             return json.dumps(self.data, indent=2)
         return "\n".join(self.lines + [f"status: {self.data['status']}"])
@@ -249,7 +246,7 @@ def cmd_analyze(args, rep: Report) -> None:
     if not causal:
         rep.say("plant is not causal; stabilizability analysis does not apply")
         rep.put("stabilizable", "not_applicable")
-        rep.status = EXIT_UNKNOWN
+        rep.status = "unknown"
         return
     if in_ring is not None:
         rep.put("stabilizable", True, "stabilizable: True (plant in A; zero controller works)")
@@ -283,7 +280,7 @@ def cmd_synthesize(args, rep: Report) -> None:
         rep.put("failed_condition", exc.condition)
         if exc.certificate is not None:
             rep.put("certificate_ideal", _ideal_json(exc.certificate))
-        rep.status = EXIT_SYNTHESIS
+        rep.status = "synthesis_failed"
         return
     rep.put("controller", _tf_json(result.controller), f"controller: {result.controller}")
     if args.latex:
@@ -331,7 +328,7 @@ def cmd_verify(args, rep: Report) -> None:
     except ZeroDivisionError:
         rep.put("well_posed", False, "loop is ill-posed: 1 + p*c = 0")
         rep.put("stable", False)
-        rep.status = EXIT_UNKNOWN
+        rep.status = "not_stable"
         return
     entries = {}
     for name, tf, element in zip(("h11", "h12", "h21", "h22"), h.entries(), h.members):
@@ -344,7 +341,7 @@ def cmd_verify(args, rep: Report) -> None:
     rep.put("well_posed", True)
     rep.put("stable", h.stable, f"stable: {h.stable}")
     if not h.stable:
-        rep.status = EXIT_UNKNOWN
+        rep.status = "not_stable"
 
 
 def cmd_coprime_factorization(args, rep: Report) -> None:
@@ -363,7 +360,7 @@ def cmd_coprime_factorization(args, rep: Report) -> None:
         rep.say(f"no coprime factorization: certificate ideal {verdict.ideal} is non-principal")
     else:
         rep.say(f"unknown: {verdict.reason}")
-        rep.status = EXIT_UNKNOWN
+        rep.status = "unknown"
 
 
 def cmd_family(args, rep: Report) -> None:
@@ -401,13 +398,13 @@ def cmd_family(args, rep: Report) -> None:
         result = synthesize(plant)
     except SynthesisError as exc:
         rep.put("error", str(exc), f"synthesis failed: {exc}")
-        rep.status = EXIT_SYNTHESIS
+        rep.status = "synthesis_failed"
         return
     rep.put("controller", _tf_json(result.controller), f"controller: {result.controller}")
     stable = result.closed_loop.stable
     rep.put("stable", stable, f"closed loop stable: {stable}")
     if report.cond_ii == cp.Verdict.UNKNOWN:
-        rep.status = EXIT_UNKNOWN
+        rep.status = "unknown"
 
 
 def _one_line(message) -> str:
@@ -515,7 +512,7 @@ def _run(args, rep: Report) -> int:
     except BrokenPipeError:
         # The reader went away (``| head``); keep the exit-time flush quiet too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return rep.status
+    return STATUS_EXIT[rep.status]
 
 
 if __name__ == "__main__":

@@ -12,16 +12,16 @@ c = (-1+sqrt(5)i)/2 gives
 
     H0 = [[-2, 1+sqrt(5)i], [1-sqrt(5)i, -2]].
 
-For that plant every stable H is fixed by its sensitivity s = (1+pc)^-1, which
-ranges over the coset -2 + L1*L2 of the factor-ideal product
-(``classical_loop_family``); each member H yields its controller back as h21/h11.
+H = [[s, -p*s], [(1-s)/p, s]] for the sensitivity s = (1+pc)^-1 is stable iff s lies on
+s0 + L1*L2 (``factor_ideals(p).coset()``); ``controller_at`` gives c = (1-s)/(p*s) back, and
+``classical_loop_family`` is the coset -2 + [6, 1+sqrt(5)i] of the plant above.
 """
 
 from __future__ import annotations
 
 from .exact import QuadElem
 from .record import Record
-from .rings import RingElement, TransferFunction, contains, quadratic
+from .rings import RingElement, TransferFunction, contains, is_causal, quadratic
 
 
 class FeedbackMatrix(Record):
@@ -95,16 +95,25 @@ def classical_loop_family(q: ParamMatrixQ) -> FeedbackMatrix:
     s = -2 + 6*q11 + (-3 + 3w)*q12 + (-2 - 2w)*q21 + 6*q22,   w = sqrt(5)i.
 
     The generators span L1*L2 = [6, 1 + w], and s0 = -2 lies in L2 with 1 - s0 = 3 in L1,
-    so s lies in L2 and 1 - s in L1: every entry lies in A and every member is stable.
+    so every s is a nonzero point of the coset s0 + L1*L2, and ``controller_at`` closes the loop.
     """
     desc = quadratic(5)
     s = RingElement.quad(desc, -2)
     for (re, im), q_k in zip(((6, 0), (-3, 3), (-2, -2), (6, 0)), (q.q11, q.q12, q.q21, q.q22)):
         s = s + RingElement.quad(desc, re, im) * q_k
-    s, p = s.to_tf(), TransferFunction.make(desc, QuadElem.of(1, 1, 5), QuadElem.of(2, 0, 5))
-    return FeedbackMatrix(s, -(p * s), (TransferFunction.one(desc) - s) / p)
+    p = TransferFunction.make(desc, QuadElem.of(1, 1, 5), QuadElem.of(2, 0, 5))
+    return feedback_matrix(p, controller_at(p, s.to_tf()))
 
 
-def extract_controller(h: FeedbackMatrix) -> TransferFunction:
-    """h21/h11 (h22 = h11); raises ZeroDivisionError when h11 = 0."""
-    return h.h21 / h.h11
+def controller_at(p: TransferFunction, s: TransferFunction) -> TransferFunction:
+    """c = (1 - s)/(p*s), re-verified: H(p, c) is stable with h11 = s.  Raises ValueError when p or
+    s is 0, s lies outside the coset s0 + L1*L2 (H is then not stable), or c is not causal."""
+    if p.is_zero() or s.is_zero():
+        raise ValueError("controller_at needs a nonzero plant and a nonzero point s")
+    c = (TransferFunction.one(p.descriptor) - s) / (p * s)
+    h = feedback_matrix(p, c)
+    if not h.stable or h.h11 != s:
+        raise ValueError(f"s = {s} lies outside the coset s0 + L1*L2 of p = {p}")
+    if not is_causal(c):
+        raise ValueError(f"the controller {c} at s = {s} is not causal")
+    return c

@@ -472,30 +472,21 @@ def verify_nonexistence_instance(inst: NonexistenceInstance) -> NonexistenceRepo
         cond_ii = Verdict.UNKNOWN
 
     pair_cert = are_coprime(inst.a, inst.b)
-    lambda1 = lambda2 = None
-    via = None
+    lambda1 = lambda2 = via = None
     if pair_cert.is_witness:
-        lambda1 = pair_cert.x * inst.a
-        lambda2 = pair_cert.y * inst.b
-        via = "pair"
-        cond_iii = Verdict.HOLDS
-    else:
-        combo = bezout_combination(desc, [inst.a, inst.b_prime, inst.b, inst.a_prime])
-        if combo is not None:
-            lambda1 = combo[0] * inst.a + combo[1] * inst.b_prime
-            lambda2 = combo[2] * inst.b + combo[3] * inst.a_prime
-            via = "quadruple"
-            cond_iii = Verdict.HOLDS
-        else:
-            cond_iii = Verdict.FAILS
+        lambda1, lambda2, via = pair_cert.x * inst.a, pair_cert.y * inst.b, "pair"
+    elif (combo := bezout_combination(desc, [inst.a, inst.b_prime, inst.b, inst.a_prime])) is not None:
+        lambda1 = combo[0] * inst.a + combo[1] * inst.b_prime
+        lambda2 = combo[2] * inst.b + combo[3] * inst.a_prime
+        via = "quadruple"
+    cond_iii = Verdict.FAILS if lambda1 is None else Verdict.HOLDS
     if lambda1 is not None:
         if lambda1 + lambda2 != RingElement.one(desc):
             raise ValueError("split witness does not sum to 1")
-        a, a_prime = inst.a.value, inst.a_prime.value
-        # lambda1/p = lambda1*a'/a and lambda2*p = lambda2*a/a' lie in A, since
-        # a*b = a'*b' puts b' in the first factor ideal and b in the second
-        if cond_i and not a.is_zero():
-            if desc.quotient(lambda1.value * a_prime, a) is None or desc.quotient(lambda2.value * a, a_prime) is None:
+        from .elemfactor import Which, lambda_member  # elemfactor imports this module
+        # a*b = a'*b' puts b' in L1 and b in L2, so lambda2 = 1 - lambda1 is a point of s0 + L1*L2
+        if cond_i and not plant.is_zero():
+            if not (lambda_member(lambda1, plant, Which.I1) and lambda_member(lambda2, plant, Which.I2)):
                 raise ValueError("split witness fails factor membership")
     return NonexistenceReport(inst, plant, cond_i, causal, cf, cond_ii, pair_cert, cond_iii, via, lambda1, lambda2)
 

@@ -15,8 +15,8 @@ re-verified on construction.  Construction strategies:
   the ideal witness below takes over.
 * quadratic ideal witness: when G = (num, den) is invertible, L1 and L2 are
   the ideals (num)*G^-1 and (den)*G^-1 (``QuadraticFactorIdeals``), and the
-  least lam in L1 with 1 - lam in L2 is the least point of one coset of
-  L1*L2.  A non-invertible G means the plant is not stabilizable.
+  least lam in L1 with 1 - lam in L2 is the least point of 1 - (s0 + L1*L2)
+  for the coset below.  A non-invertible G means the plant is not stabilizable.
 * delay construction: the gcd of the canonical in-ring representation
   (w*num, w*den) is the causal factor w = 1 - den1*x of ``DelayRing``;
   re-inflate the reduced denominator den by a multiplier 1 + s*x + c*s^2*x^2
@@ -31,7 +31,9 @@ r1 = r2 = 0, ``synthesize`` closes the loop with the first witness at
 omega = 1, where the controller denominator is v*lam2.
 
 ``factor_ideals(p)`` is one object per ring (``factor_ideal_class`` is the
-one ring test in ringstab): it decides L1 + L2 = A, lists the witnesses and
+one ring test in ringstab): it decides L1 + L2 = A, lists the witnesses,
+gives the coset s0 + L1*L2 (``coset()``, s0 in L2, 1 - s0 in L1) whose nonzero
+points s give every stabilizing c = (1 - s)/(p*s) (Sule 1994, Mori 2002), and
 decides whether L2 is principal, i.e. whether p has a coprime factorization.
 """
 
@@ -165,22 +167,16 @@ def construct_witnesses_quadratic(p: TransferFunction) -> WitnessPair | None:
 
 
 def search_witnesses_quadratic(p: TransferFunction, ideals: QuadraticFactorIdeals | None = None) -> WitnessPair | None:
-    """The least lam = u + v*w in the order (max(|u|, |v|), u, v) with lam in L1 and
-    1 - lam in L2; None iff G = (num, den) is not invertible (p not stabilizable).
-    ``ideals``, p's factor ideals, keeps G for a later certificate."""
+    """The least lam = u + v*w in the order (max(|u|, |v|), u, v) with lam in L1 and 1 - lam in L2;
+    None iff G = (num, den) is not invertible.  ``ideals``, p's factor ideals, keeps G for a certificate."""
     ideals = ideals or QuadraticFactorIdeals(p)
-    if not ideals.comaximal:
+    if (coset := ideals.coset()) is None:
         return None
-    # the least point of the coset lam0 + L1*L2 of any lam0 in L1 with 1 - lam0 in L2
-    lam1, lam2 = ideals.lambdas
-    rows1 = lam1.basis_rows()
-    coeffs = cp.express_one(rows1 + lam2.basis_rows())
-    if coeffs is None:
-        raise ValueError("factor ideals of an invertible G must sum to A")
-    start = (coeffs[0] * rows1[0][0] + coeffs[1] * rows1[1][0], coeffs[1] * rows1[1][1])
-    one = RingElement.one(p.descriptor)
-    lam = RingElement.quad(p.descriptor, *cp.least_in_coset(lam1.mul(lam2).basis_rows(), start))
-    return WitnessPair(plant=p, lam1=lam, lam2=one - lam, u=one, v=one, trace=IdealTrace(lam1, lam2))
+    # the least point of 1 - (s0 + L1*L2), which is the same for every s0 of the coset
+    (s0, gens), one = coset, RingElement.one(p.descriptor)
+    rows = [(int(g.value.re), int(g.value.im)) for g in gens]
+    lam = RingElement.quad(p.descriptor, *cp.least_in_coset(rows, (1 - int(s0.value.re), -int(s0.value.im))))
+    return WitnessPair(plant=p, lam1=lam, lam2=one - lam, u=one, v=one, trace=IdealTrace(*ideals.lambdas))
 
 
 def construct_witnesses_delay(p: TransferFunction, ideals: DelayFactorIdeals | None = None) -> WitnessPair:
@@ -263,6 +259,19 @@ class QuadraticFactorIdeals(Record):
         """The non-invertible G when L1 + L2 != A."""
         return None if self.comaximal else self.ideal
 
+    def coset(self) -> tuple[RingElement, list[RingElement]] | None:
+        """(s0, the HNF basis of L1*L2) with s0 in L2 and 1 - s0 in L1, or None when G is not
+        invertible; s0 = 1 - lam0 for the lam0 in L1 of a lattice expression of 1 over L1 + L2."""
+        if not self.comaximal:
+            return None
+        (lam1, lam2), desc = self.lambdas, self.plant.descriptor
+        rows1 = lam1.basis_rows()
+        coeffs = cp.express_one(rows1 + lam2.basis_rows())
+        if coeffs is None:
+            raise ValueError("factor ideals of an invertible G must sum to A")
+        s0 = RingElement.quad(desc, 1 - coeffs[0] * rows1[0][0] - coeffs[1] * rows1[1][0], -coeffs[1] * rows1[1][1])
+        return s0, [RingElement(desc, g) for g in lam1.mul(lam2).basis_elements()]
+
     def witnesses(self) -> Iterator[WitnessPair]:
         """The fast path, then the ideal witness, which exists iff p is stabilizable."""
         fast = construct_witnesses_quadratic(self.plant)
@@ -320,6 +329,15 @@ class DelayFactorIdeals(Record):
 
     def witnesses(self) -> Iterator[WitnessPair]:
         yield construct_witnesses_delay(self.plant, self)
+
+    def coset(self) -> tuple[RingElement, list[RingElement]]:
+        """(s0, generators num*den*{w^2, w*x^2, x^4} of L1*L2 = num*den*K^2): L1 = num*K and
+        L2 = den*K for K = (w, x^2).  s0 = v*lam2 of the delay witness, and 1 for a plant in A."""
+        p, x2 = self.plant, Poly.of(0, 0, 1)
+        pair = None if contains(p) is not None else next(self.witnesses())  # refuses a non-causal p
+        s0 = RingElement.one(p.descriptor) if pair is None else pair.v * pair.lam2
+        w = self.representation[2]
+        return s0, [RingElement(p.descriptor, p.num * p.den * g) for g in (w * w, w * x2, x2 * x2)]
 
     @cached_property
     def representation(self) -> tuple[RingElement, RingElement, Poly]:

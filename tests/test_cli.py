@@ -583,7 +583,7 @@ class TestLargeCoefficients:
         path = plant_file(tmp_path, doc)
         got, out, err = run(capsys, *[path if a == "{plant}" else a for a in argv], "--json")
         assert (got, err) == (code, "")
-        assert json.loads(out, parse_int=str)["status"] == ("verified" if code == EXIT_OK else "unknown")
+        assert json.loads(out, parse_int=str)["status"] == ("verified" if code == EXIT_OK else "not_stable")
 
     @pytest.mark.parametrize("argv, doc, message", [
         (["analyze", "{plant}"], quad_doc(5, _sevens(4301), 1, 2),

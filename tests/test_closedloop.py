@@ -8,7 +8,7 @@ from ringstab.closedloop import (
     FeedbackMatrix,
     ParamMatrixQ,
     classical_loop_family,
-    extract_controller,
+    controller_at,
     feedback_matrix,
     is_stable,
 )
@@ -184,7 +184,7 @@ class TestParamFamily:
             assert not h.h11.is_zero()
             # plant recovery: (1 + sqrt(5)i) * h11 = -2 * h12
             assert tf5(1, 1) * h.h11 == tf5(-2, 0) * h.h12
-            c = extract_controller(h)
+            c = controller_at(P_Z5, h.h11)
             assert is_stable(P_Z5, c)
             assert feedback_matrix(P_Z5, c).entries() == h.entries()
 
@@ -239,28 +239,69 @@ class TestFamilyFromSensitivity:
 
 
 class TestExtractController:
+    """``controller_at`` reads the controller back from the sensitivity s = h11."""
+
     def test_from_h0(self):
         h = classical_loop_family(ParamMatrixQ.zero())
-        assert extract_controller(h) == C_Z5
+        assert controller_at(P_Z5, h.h11) == C_Z5
 
     def test_consistency_between_quotients(self):
-        h = feedback_matrix(P_Z5, C_Z5)
-        assert extract_controller(h) == C_Z5
+        # (1 - s)/(p*s) is h21/h11 for every well-posed loop
+        for p, c in ((P_Z5, C_Z5), (P_DELAY, C_DELAY)):
+            h = feedback_matrix(p, c)
+            assert controller_at(p, h.h11) == c == h.h21 / h.h11
 
     def test_zero_diagonal_guarded(self):
-        zero = TransferFunction.zero(Z5)
-        one = TransferFunction.one(Z5)
-        h = FeedbackMatrix(zero, one, one)
-        with pytest.raises(ZeroDivisionError):
-            extract_controller(h)
+        with pytest.raises(ValueError, match="nonzero point s"):
+            controller_at(P_Z5, TransferFunction.zero(Z5))
+        with pytest.raises(ValueError, match="nonzero plant"):
+            controller_at(TransferFunction.zero(Z5), TransferFunction.one(Z5))
 
     def test_unequal_diagonal_rejected(self):
         # h22 is h11 by construction: no fourth entry is taken and none can be
-        # set, so h21/h11 and h21/h22 cannot disagree
+        # set, so the loop has one sensitivity s = h11 = h22
         one = TransferFunction.one(Z5)
         with pytest.raises(TypeError):
             FeedbackMatrix(one, one, one, tf5(2, 0))
         h = FeedbackMatrix(one, one, tf5(2, 0))
         with pytest.raises(AttributeError):
             h.h22 = tf5(2, 0)
-        assert extract_controller(h) == h.h21 / h.h22
+        assert h.h22 is h.h11
+
+
+class TestControllerAt:
+    """c = (1 - s)/(p*s) for the nonzero points s of s0 + L1*L2, and a ValueError for every other s."""
+
+    def test_points_outside_the_coset_refused(self):
+        # s0 = -2 plus 1, w or 1/2 is not in -2 + [6, 1 + w]; s = 1 is the open loop c = 0
+        for s in (tf5(-1, 0), tf5(-2, 1), TransferFunction.make(Z5, QuadElem.of(-3, 0, 5), QuadElem.of(2, 0, 5)),
+                  TransferFunction.one(Z5)):
+            with pytest.raises(ValueError, match="outside the coset"):
+                controller_at(P_Z5, s)
+
+    def test_delay_point_in_the_causality_set_refused(self):
+        # s0 + t*g with s(0) = 0 is a coset point whose controller is not causal
+        s0, gens = factor_ideals(P_DELAY).coset()
+        s = s0 - RingElement(D, Poly.constant(s0.value.coeff(0) / gens[0].value.coeff(0))) * gens[0]
+        assert s.value.coeff(0) == 0 and not s.is_zero()
+        with pytest.raises(ValueError, match="not causal"):
+            controller_at(P_DELAY, s.to_tf())
+
+    @pytest.mark.parametrize("p", [P_Z5, P_DELAY], ids=["quadratic", "delay"])
+    def test_accepted_points_close_the_loop(self, p):
+        rng = random.Random(3030)
+        s0, gens = factor_ideals(p).coset()
+        desc = p.descriptor
+        accepted = 0
+        for _ in range(40):
+            t = [RingElement.int_const(desc, rng.randint(-3, 3)) for _ in gens]
+            s = sum((ti * g for ti, g in zip(t, gens)), s0).to_tf()
+            try:
+                c = controller_at(p, s)
+            except ValueError as exc:
+                assert "not causal" in str(exc) or s.is_zero()
+                continue
+            accepted += 1
+            h = feedback_matrix(p, c)
+            assert h.stable and h.h11 == s
+        assert accepted >= 20

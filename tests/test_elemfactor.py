@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from test_coprime import _brute_force_cf_search
 
-from ringstab.coprime import CFKind, cf_exists, delay_bezout
+from ringstab.coprime import CFKind, QuadIdeal, cf_exists, delay_bezout, ideal_from_gens
 from ringstab.elemfactor import (
     IdealTrace,
     Which,
@@ -251,6 +251,54 @@ class TestDelayConstruction:
 def _rand_delay(rng, degree, low=-3, high=3):
     cs = [F(rng.randint(low, high)) for _ in range(degree + 1)]
     return Poly.from_list([c if k != 1 else F(0) for k, c in enumerate(cs)])
+
+
+class TestCoset:
+    """``coset()``: s0 in L2 with 1 - s0 in L1, and generators of L1*L2 = L1 & L2."""
+
+    def _on_coset(self, p, s):
+        return lambda_member(s, p, Which.I2) and lambda_member(RingElement.one(p.descriptor) - s, p, Which.I1)
+
+    def test_classical_plant(self):
+        s0, gens = factor_ideals(P_Z5).coset()
+        lam1, lam2 = factor_ideals(P_Z5).lambdas
+        assert self._on_coset(P_Z5, s0)
+        assert ideal_from_gens(5, [g.value for g in gens]) == lam1.mul(lam2) == QuadIdeal(5, 6, 1, 1)
+        # the ideal witness is the least point of 1 - (s0 + L1*L2) whichever s0 the coset holds
+        assert search_witnesses_quadratic(P_Z5).lam1 == q5(-2, 1)
+
+    def test_not_invertible_g_has_no_coset(self):
+        z3 = quadratic(3)
+        p = TransferFunction.make(z3, QuadElem.of(3, 1, 3), QuadElem.of(18, 0, 3))
+        assert factor_ideals(p).coset() is None
+
+    def test_non_causal_delay_plant_refused(self):
+        with pytest.raises(ValueError, match="not causal"):
+            factor_ideals(TransferFunction.make(D, Poly.one(), Poly.of(0, 0, 1))).coset()
+
+    def test_delay_generators_lie_in_both_factor_ideals(self):
+        rng = random.Random(2727)
+        checked = 0
+        while checked < 60:
+            num, den = _rand_delay(rng, rng.randint(1, 4)), _rand_delay(rng, rng.randint(1, 4))
+            if num.is_zero() or den.is_zero() or den(0) == 0:
+                continue
+            p = TransferFunction.make(D, num, den)
+            checked += 1
+            s0, gens = factor_ideals(p).coset()
+            assert self._on_coset(p, s0), str(p)
+            if contains(p) is not None:
+                assert s0 == RingElement.one(D)
+            for g in gens:
+                assert lambda_member(g, p, Which.I1) and lambda_member(g, p, Which.I2), (str(p), str(g))
+
+    def test_delay_witness_point(self):
+        w = construct_witnesses_delay(P_DELAY)
+        s0, gens = factor_ideals(P_DELAY).coset()
+        assert s0 == w.v * w.lam2
+        # num*den = (1 + x + x^2)*(1 + x), w = 1 - x
+        nd = Poly.of(1, 2, 2, 1)
+        assert [g.value for g in gens] == [nd * Poly.of(1, -2, 1), nd * Poly.of(0, 0, 1, -1), nd * Poly.of(0, 0, 0, 0, 1)]
 
 
 class TestDelayBezout:

@@ -13,6 +13,9 @@ Each plant file goes through ``main([..., "--json"])``, and the reports must
 agree: synthesize succeeds exactly when analyze says stabilizable; the printed
 controller parses back to the same value, is causal and passes verify; and a
 coprime-factorization ``exists`` certificate has x*n + y*d = 1 and n/d = p.
+For every nonzero stabilizable plant, s0 of ``factor_ideals(p).coset()`` lies in
+L2 with 1 - s0 in L1, and s0 + g for each generator g of L1*L2 gives a controller
+through ``controller_at`` or is refused as s = 0 or as not causal.
 
 ``family`` runs for every valid small (x, y) with y <= 9, and its conditions
 and controller must match coprime-factorization and synthesize on the same
@@ -33,6 +36,8 @@ import os
 import pytest
 
 from ringstab.cli import EXIT_OK, EXIT_PARSE, EXIT_SYNTHESIS, EXIT_UNKNOWN, main
+from ringstab.closedloop import controller_at
+from ringstab.elemfactor import Which, factor_ideals, lambda_member
 from ringstab.exact import Poly, QuadElem, is_square
 from ringstab.rings import (
     RingElement,
@@ -135,6 +140,17 @@ def _check_controller(capsys, path, desc, synthesized):
     assert code == EXIT_OK and checked["stable"] is True
 
 
+def _check_coset(plant):
+    s0, gens = factor_ideals(plant).coset()
+    assert lambda_member(s0, plant, Which.I2) and lambda_member(RingElement.one(plant.descriptor) - s0, plant, Which.I1)
+    for s in (s0 + g for g in gens):
+        try:
+            controller_at(plant, s.to_tf())
+        except ValueError as exc:
+            # 0 lies on the coset when 1/p lies in A, as for p = -1, and has no controller
+            assert "not causal" in str(exc) or s.is_zero(), str(exc)
+
+
 @pytest.fixture(scope="module")
 def plant_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("small_world")
@@ -152,6 +168,8 @@ def test_reports_agree(doc, plant_dir, capsys, cf_verdicts):
     plant = _tf(desc, analyzed["plant"])
     stabilizable = analyzed["stabilizable"]
     assert stabilizable in (True, False)  # every plant of the box is causal
+    if stabilizable and not plant.is_zero():
+        _check_coset(plant)
 
     code, synthesized = _report(capsys, "synthesize", path)
     if stabilizable:

@@ -6,14 +6,17 @@ from fractions import Fraction as F
 import pytest
 
 from ringstab import synthesis
-from ringstab.closedloop import FeedbackMatrix, feedback_matrix, is_stable
+from ringstab.closedloop import FeedbackMatrix, controller_at, feedback_matrix, is_stable
+from ringstab.coprime import ideal_from_gens
 from ringstab.elemfactor import (
     IdealTrace,
     QuadraticTrace,
+    Which,
     WitnessPair,
     construct_witnesses_delay,
     construct_witnesses_quadratic,
     factor_ideals,
+    lambda_member,
     search_witnesses_quadratic,
 )
 from ringstab.exact import Poly, QuadElem, ext_gcd_int
@@ -407,3 +410,29 @@ class TestOmegaAtMostThree:
         p = TransferFunction.make(z1, QuadElem.of(1, 0, 1), QuadElem.of(2, 0, 1))
         r1, r2 = RingElement.zero(z1), RingElement.quad(z1, 2)
         assert _scan_to_32(p, r1, r2) == _synthesize_outcome(p, r1, r2) == "iii"
+
+
+class TestEveryControllerIsACosetPoint:
+    """Every controller synthesize returns, for any r1, r2 in A, has its sensitivity h11 in
+    s0 + L1*L2 of ``factor_ideals(p).coset()``, and ``controller_at`` gives it back from h11."""
+
+    @pytest.mark.parametrize("ring", ["quadratic", "delay"])
+    def test_sensitivity_on_the_coset(self, ring):
+        rng = random.Random(2828 + (ring == "delay"))
+        results = 0
+        for _ in range(200):
+            p = _random_plant(rng, ring)
+            r1, r2 = _small_r(rng, p.descriptor), _small_r(rng, p.descriptor)
+            try:
+                result = synthesize(p, SynthesisConfig(r1=r1, r2=r2))
+            except SynthesisError:
+                continue
+            results += 1
+            s0, gens = factor_ideals(p).coset()
+            offset = contains(result.closed_loop.h11) - s0
+            if ring == "quadratic":
+                assert ideal_from_gens(p.descriptor.m, [g.value for g in gens]).member(offset.value), str(p)
+            else:
+                assert lambda_member(offset, p, Which.I1) and lambda_member(offset, p, Which.I2), str(p)
+            assert controller_at(p, result.closed_loop.h11) == result.controller, (str(p), str(r1), str(r2))
+        assert results >= 150
